@@ -69,10 +69,13 @@ class EnvSettings:
     difficulty: str = "easy"
     corpus_seed: int = 7
 
+    def __post_init__(self):
+        if self.difficulty not in gridnav.DIFFICULTIES:
+            raise ValueError(f"unknown difficulty {self.difficulty!r}")
+
 
 @dataclass
 class RolloutStep:
-    state: Tensor
     action: int
     log_prob: Tensor
     value: Tensor
@@ -200,6 +203,7 @@ class Collector:
         self.loss_sums = [0.0, 0.0, 0.0]
         self.loss_count = 0
         self.rows: list[dict] = []
+        self.error: Optional[BaseException] = None
 
     def handle(self, msg) -> None:
         kind = msg[0]
@@ -222,6 +226,11 @@ class Collector:
                 self.checkpoint_cb(self.episodes)
             if 0 < self.config.max_episodes <= self.episodes:
                 self.stop_event.set()
+        elif kind == "error":
+            # the first failure wins; the others stop at their next check
+            if self.error is None:
+                self.error = msg[1]
+            self.stop_event.set()
         else:
             raise ValueError(f"unknown collector message {msg!r}")
 
@@ -229,16 +238,10 @@ class Collector:
         n = max(1, self.loss_count)
         accuracy = sum(1 for r in self.recent if r == gridnav.REWARD_CORRECT) \
             / max(1, len(self.recent))
-        row = {
-            "episodes": self.episodes,
-            "frames": self.frames,
-            "mean_reward": sum(self.recent) / max(1, len(self.recent)),
-            "accuracy": accuracy,
-            "policy_loss": self.loss_sums[0] / n,
-            "value_loss": self.loss_sums[1] / n,
-            "entropy": self.loss_sums[2] / n,
-        }
-        self.rows.append(row)
+        mean_reward = sum(self.recent) / max(1, len(self.recent))
+        self.rows.append(dict(zip(LOG_COLUMNS, (
+            self.episodes, self.frames, mean_reward, accuracy,
+            *(total / n for total in self.loss_sums)))))
         self.loss_sums = [0.0, 0.0, 0.0]
         self.loss_count = 0
         if (self.config.early_stop_accuracy > 0
@@ -261,7 +264,7 @@ class _InlineChannel:
 # Worker rollout loop
 # --------------------------------------------------------------------------
 
-def _entropy(g: Graph, probs: Tensor) -> Tensor:
+def policy_entropy(g: Graph, probs: Tensor) -> Tensor:
     return g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
 
 
@@ -295,20 +298,18 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             p = out.probs.data
             action = int(rng.choice(len(p), p=p / p.sum()))
             log_prob = g.log(g.pick(out.probs, action))
-            entropy = _entropy(g, out.probs)
+            entropy = policy_entropy(g, out.probs)
             state, reward, done = gridnav.advance(state, ACTIONS[action])
             buffer.append(RolloutStep(
-                state=out.state, action=action, log_prob=log_prob,
-                value=out.value, entropy=entropy, reward=reward, done=done))
+                action=action, log_prob=log_prob, value=out.value,
+                entropy=entropy, reward=reward, done=done))
             frames += 1
-            if out.next_attention_state is not None:
-                att = out.next_attention_state
+            att = out.next_attention_state
             if done:
                 channel.put(("episode", reward))
                 instruction, state, obs = new_episode()
                 x_l = encode_instruction(g, local, mconf, instruction.tokens)
-                att = AttentionState(h=Tensor(np.zeros(mconf.d)),
-                                     C=Tensor(np.ones(mconf.d)))
+                att = initial_attention_state(mconf)
             else:
                 obs = gridnav.render(state)
             if stop_event.is_set():
@@ -351,7 +352,8 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the final shared parameters."""
+    plus the final shared parameters. If an async worker raises, the other
+    workers are stopped and its exception is re-raised here."""
     from .nets import init_params
 
     corpus = gridnav.build_corpus(env.corpus_seed)
@@ -376,14 +378,17 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
                          collector.stop_event, corpus.train)
         else:
             chan: queue.Queue = queue.Queue()
-            threads = [
-                threading.Thread(
-                    target=_worker_loop,
-                    args=(wid, shared, opt, tconf, mconf, env, seed, chan,
-                          collector.stop_event, corpus.train),
-                    daemon=True)
-                for wid in range(tconf.workers)
-            ]
+
+            def run_worker(wid: int) -> None:
+                try:
+                    _worker_loop(wid, shared, opt, tconf, mconf, env, seed,
+                                 chan, collector.stop_event, corpus.train)
+                except BaseException as exc:
+                    chan.put(("error", exc))
+
+            threads = [threading.Thread(target=run_worker, args=(wid,),
+                                        daemon=True)
+                       for wid in range(tconf.workers)]
             for t in threads:
                 t.start()
             while not collector.stop_event.is_set():
@@ -399,6 +404,8 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
                     collector.handle(chan.get_nowait())
                 except queue.Empty:
                     break
+            if collector.error is not None:
+                raise collector.error
 
     return TrainResult(rows=collector.rows, params=shared,
                        episodes=collector.episodes, frames=collector.frames,
@@ -453,8 +460,7 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))
         result.actions.append(ACTIONS[action])
-        if out.next_attention_state is not None:
-            att = out.next_attention_state
+        att = out.next_attention_state
         final_reward = reward
         result.steps = t + 1
         if done:

@@ -59,16 +59,8 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def zero_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 class _Node:
@@ -92,7 +84,6 @@ OP_KINDS = (
     "mul",
     "scale",
     "shift",
-    "matmul",
     "matvec",
     "conv2d",
     "conv1d_channels",
@@ -105,8 +96,6 @@ OP_KINDS = (
     "pick",
     "row",
 )
-
-ELEMENTWISE_KINDS = ("sigmoid", "tanh", "relu", "add", "mul", "scale")
 
 
 class Graph:
@@ -214,42 +203,7 @@ class Graph:
 
         return self._record("shift", (a,), out, bwd)
 
-    def elementwise(self, kind: str, a: Tensor, b=None) -> Tensor:
-        """Dispatch by name over the elementwise kinds.
-
-        ``b`` is the second tensor for add/mul and the scalar factor for
-        scale; unary kinds reject it.
-        """
-        if kind not in ELEMENTWISE_KINDS:
-            raise ValueError(f"unknown elementwise kind '{kind}'")
-        if kind in ("add", "mul"):
-            if not isinstance(b, Tensor):
-                raise ValueError(f"{kind} needs a second tensor")
-            return getattr(self, kind)(a, b)
-        if kind == "scale":
-            if b is None:
-                raise ValueError("scale needs a scalar factor")
-            return self.scale(a, float(b))
-        if b is not None:
-            raise ValueError(f"{kind} takes a single tensor")
-        return getattr(self, kind)(a)
-
     # -- linear algebra ---------------------------------------------------------
-
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        self._adopt(a)
-        self._adopt(b)
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ValueError("matmul expects 2-D tensors")
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(
-                f"matmul: inner dims {a.data.shape} x {b.data.shape}")
-        out = a.data @ b.data
-
-        def bwd(g):
-            return (g @ b.data.T, a.data.T @ g)
-
-        return self._record("matmul", (a, b), out, bwd)
 
     def matvec(self, w: Tensor, v: Tensor) -> Tensor:
         self._adopt(w)
@@ -494,10 +448,6 @@ class Graph:
                         t.grad = gt.copy()
                     else:
                         t.grad += gt
-
-
-def backward(graph: Graph, loss: Tensor) -> None:
-    graph.backward(loss)
 
 
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:

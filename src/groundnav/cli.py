@@ -1,9 +1,12 @@
 """Command-line harness: corpus generation, training, evaluation,
 attention visualization, and the gradient-check suite.
 
-Experiment configuration is a flat ``key = value`` text file; unknown keys
-are rejected and a resolved copy is written into the output directory so
-every artifact is reproducible from the config and seeds alone.
+Experiment configuration is a flat ``key = value`` text file. Each key
+belongs to the dataclass that declares it (``ModelConfig``,
+``TrainerConfig``, ``EnvSettings``, or ``ExperimentConfig`` itself), whose
+checks reject bad values at parse time; unknown keys are rejected too. A
+resolved copy is written into the output directory so every artifact is
+reproducible from the config and seeds alone.
 """
 
 from __future__ import annotations
@@ -13,78 +16,66 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import gradcheck, gridnav, nets
-from .a3c import EnvSettings, TrainerConfig, play_episode, train
+from .a3c import LOG_COLUMNS, EnvSettings, TrainerConfig, play_episode, train
 from .gridnav import Corpus, Instruction
 from .nets import ModelConfig, Params
 
 
+# Fields of the component configs that the config file does not set: the
+# vocabulary comes from the corpus, and the others keep their defaults.
+_NOT_EXPOSED = ("vocab", "action_count", "rmsprop_alpha", "rmsprop_eps")
+
+
 @dataclass
 class ExperimentConfig:
-    difficulty: str = "easy"
-    attention_source: str = "lstm_cellstate"
-    application: str = "conv1d"
-    fusion: str = "attention"
+    """The model, trainer and environment configs plus the run's own
+    settings. ``model`` holds a placeholder vocabulary; ``model_config``
+    swaps in the corpus vocabulary."""
+
+    model: ModelConfig = field(
+        default_factory=lambda: ModelConfig(vocab=(nets.UNK_TOKEN,)))
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
+    env: EnvSettings = field(default_factory=EnvSettings)
     seeds: tuple[int, ...] = (1, 2, 3)
-    corpus_seed: int = 7
-    d: int = 16
-    l: int = 64
-    embed_dim: int = 16
-    hidden: int = 64
-    render_h: int = 48
-    render_w: int = 64
-    conv_specs: tuple[tuple[int, int, int], ...] = ((8, 5, 3), (12, 4, 2), (16, 3, 1))
-    forget_gate_sees_input: bool = True
-    gamma: float = 0.99
-    n_steps: int = 20
-    entropy_coef: float = 0.01
-    value_coef: float = 0.5
-    grad_clip_norm: float = 40.0
-    learning_rate: float = 1e-3
-    workers: int = 1
-    mode: str = "sync"
-    max_frames: int = 200_000
-    max_episodes: int = 0
-    log_every_episodes: int = 100
-    checkpoint_every_episodes: int = 0
-    early_stop_accuracy: float = 0.0
     eval_mode: str = "multitask"
     eval_episodes: int = 500
     out_dir: str = "runs/experiment"
 
+    def __post_init__(self):
+        if self.eval_mode not in ("multitask", "zeroshot"):
+            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
+        if not self.seeds:
+            raise ValueError("at least one seed required")
+
     def model_config(self, corpus: Corpus) -> ModelConfig:
         vocab = nets.build_vocab(corpus.train + corpus.test)
-        if self.conv_specs[-1][0] != self.d:
-            raise ValueError("conv_specs must end with d channels")
-        return ModelConfig(
-            vocab=vocab, d=self.d, l=self.l, embed_dim=self.embed_dim,
-            hidden=self.hidden, render_h=self.render_h, render_w=self.render_w,
-            conv_specs=self.conv_specs,
-            attention_source=self.attention_source,
-            application=self.application, fusion=self.fusion,
-            forget_gate_sees_input=self.forget_gate_sees_input)
+        return dataclasses.replace(self.model, vocab=vocab)
 
-    def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            gamma=self.gamma, n_steps=self.n_steps,
-            entropy_coef=self.entropy_coef, value_coef=self.value_coef,
-            grad_clip_norm=self.grad_clip_norm,
-            learning_rate=self.learning_rate, workers=self.workers,
-            mode=self.mode, max_frames=self.max_frames,
-            max_episodes=self.max_episodes,
-            log_every_episodes=self.log_every_episodes,
-            checkpoint_every_episodes=self.checkpoint_every_episodes,
-            early_stop_accuracy=self.early_stop_accuracy)
 
-    def env_settings(self) -> EnvSettings:
-        return EnvSettings(difficulty=self.difficulty,
-                           corpus_seed=self.corpus_seed)
+def _key_sections(config: ExperimentConfig) -> dict[str, Optional[str]]:
+    """Config-file key -> the ExperimentConfig field whose dataclass declares
+    it, or None for ExperimentConfig's own fields."""
+    keys: dict[str, Optional[str]] = {}
+    for f in dataclasses.fields(config):
+        part = getattr(config, f.name)
+        if dataclasses.is_dataclass(part):
+            keys.update((sub.name, f.name) for sub in dataclasses.fields(part)
+                        if sub.name not in _NOT_EXPOSED)
+        else:
+            keys[f.name] = None
+    return keys
+
+
+def _lookup(config: ExperimentConfig, key: str, section: Optional[str]):
+    return getattr(config if section is None else getattr(config, section),
+                   key)
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False,
@@ -117,8 +108,11 @@ def _parse_value(name: str, raw: str, default):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
+    """Each key goes to the dataclass that declares it, whose own checks then
+    reject bad values."""
     defaults = ExperimentConfig()
-    values: dict = {}
+    sections = _key_sections(defaults)
+    values: dict[Optional[str], dict] = {s: {} for s in sections.values()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,29 +121,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if not hasattr(defaults, key):
+        if key not in sections:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, val, getattr(defaults, key))
-    config = dataclasses.replace(defaults, **values)
-    _validate(config)
-    return config
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.difficulty not in gridnav.DIFFICULTIES:
-        raise ValueError(f"unknown difficulty {config.difficulty!r}")
-    if config.attention_source not in nets.ATTENTION_SOURCES:
-        raise ValueError(f"unknown attention_source {config.attention_source!r}")
-    if config.application not in nets.APPLICATIONS:
-        raise ValueError(f"unknown application {config.application!r}")
-    if config.fusion not in nets.FUSIONS:
-        raise ValueError(f"unknown fusion {config.fusion!r}")
-    if config.mode not in ("sync", "async"):
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if config.eval_mode not in ("multitask", "zeroshot"):
-        raise ValueError(f"unknown eval_mode {config.eval_mode!r}")
-    if not config.seeds:
-        raise ValueError("at least one seed required")
+        section = sections[key]
+        values[section][key] = _parse_value(
+            key, val, _lookup(defaults, key, section))
+    parts = {section: dataclasses.replace(getattr(defaults, section), **kv)
+             for section, kv in values.items() if section is not None}
+    return dataclasses.replace(defaults, **values[None], **parts)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -158,15 +137,15 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_text(config: ExperimentConfig) -> str:
     lines = []
-    for f in dataclasses.fields(config):
-        v = getattr(config, f.name)
-        if f.name == "seeds":
+    for key, section in _key_sections(config).items():
+        v = _lookup(config, key, section)
+        if key == "seeds":
             v = ",".join(str(s) for s in v)
-        elif f.name == "conv_specs":
+        elif key == "conv_specs":
             v = ",".join("x".join(str(d) for d in spec) for spec in v)
         elif isinstance(v, bool):
             v = "true" if v else "false"
-        lines.append(f"{f.name} = {v}")
+        lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -201,14 +180,10 @@ def read_ppm(path) -> np.ndarray:
 def write_log_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episodes", "frames", "mean_reward", "accuracy",
-                         "policy_loss", "value_loss", "entropy"])
+        writer.writerow(LOG_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["episodes"], row["frames"],
-                f"{row['mean_reward']:.6f}", f"{row['accuracy']:.6f}",
-                f"{row['policy_loss']:.6f}", f"{row['value_loss']:.6f}",
-                f"{row['entropy']:.6f}"])
+            writer.writerow([row[c] if c in ("episodes", "frames")
+                             else f"{row[c]:.6f}" for c in LOG_COLUMNS])
 
 
 def mean_curve(per_seed_rows: list[list[dict]]) -> list[dict]:
@@ -216,15 +191,9 @@ def mean_curve(per_seed_rows: list[list[dict]]) -> list[dict]:
     if not per_seed_rows:
         return []
     n = min(len(rows) for rows in per_seed_rows)
-    out = []
-    for i in range(n):
-        row = {}
-        for key in ("episodes", "frames", "mean_reward", "accuracy",
-                    "policy_loss", "value_loss", "entropy"):
-            row[key] = sum(rows[i][key] for rows in per_seed_rows) \
-                / len(per_seed_rows)
-        out.append(row)
-    return out
+    return [{key: sum(rows[i][key] for rows in per_seed_rows)
+             / len(per_seed_rows) for key in LOG_COLUMNS}
+            for i in range(n)]
 
 
 def normalized_heatmap(attended: np.ndarray) -> np.ndarray:
@@ -248,7 +217,7 @@ def upsample_nearest(plane: np.ndarray, h: int, w: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def cmd_gen_corpus(config: ExperimentConfig, out_dir: Path) -> Path:
-    corpus = gridnav.build_corpus(config.corpus_seed)
+    corpus = gridnav.build_corpus(config.env.corpus_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.txt"
     path.write_text(gridnav.corpus_to_text(corpus))
@@ -259,14 +228,14 @@ def cmd_gen_corpus(config: ExperimentConfig, out_dir: Path) -> Path:
 def cmd_train(config: ExperimentConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved.cfg").write_text(config_to_text(config))
-    corpus = gridnav.build_corpus(config.corpus_seed)
+    corpus = gridnav.build_corpus(config.env.corpus_seed)
     (out_dir / "corpus.txt").write_text(gridnav.corpus_to_text(corpus))
     mconf = config.model_config(corpus)
 
     counts = nets.count_report(mconf)
     print(f"trainable parameters: {counts['total']} "
           f"(fusion stage: {counts['fusion_stage']}, "
-          f"application: {config.application})")
+          f"application: {config.model.application})")
 
     per_seed_rows = []
     artifacts = {"seed_dirs": [], "checkpoints": []}
@@ -279,8 +248,8 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> dict:
             nets.save_params(_dir / f"checkpoint_ep{episodes}.bin",
                              snapshot, mconf)
 
-        result = train(config.trainer_config(), mconf, config.env_settings(),
-                       seed, checkpoint_cb=checkpoint_cb)
+        result = train(config.trainer, mconf, config.env, seed,
+                       checkpoint_cb=checkpoint_cb)
         write_log_csv(seed_dir / "train_log.csv", result.rows)
         ckpt = seed_dir / "checkpoint.bin"
         nets.save_params(ckpt, result.params, mconf)
@@ -336,12 +305,12 @@ def run_eval(params: Params, mconf: ModelConfig, corpus: Corpus, mode: str,
 
 def cmd_eval(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
              mode: str, episodes: int, seed: int) -> EvalReport:
-    corpus = gridnav.build_corpus(config.corpus_seed)
+    corpus = gridnav.build_corpus(config.env.corpus_seed)
     mconf = config.model_config(corpus)
     params = nets.load_params(checkpoint, mconf)
     out_dir.mkdir(parents=True, exist_ok=True)
     traces: list = []
-    report = run_eval(params, mconf, corpus, mode, config.difficulty,
+    report = run_eval(params, mconf, corpus, mode, config.env.difficulty,
                       episodes, seed, trace_sink=traces)
     report_path = out_dir / f"eval_{mode}.json"
     report_path.write_text(json.dumps(dataclasses.asdict(report),
@@ -356,17 +325,17 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
 
 def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
                   instruction: Instruction, seed: int) -> dict:
-    corpus = gridnav.build_corpus(config.corpus_seed)
+    corpus = gridnav.build_corpus(config.env.corpus_seed)
     mconf = config.model_config(corpus)
     params = nets.load_params(checkpoint, mconf)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = play_episode(params, mconf, instruction, seed,
-                          config.difficulty, greedy=True, capture=True)
-    hadamard_fallback = config.application == "hadamard_fc"
+                          config.env.difficulty, greedy=True, capture=True)
+    hadamard_fallback = config.model.application == "hadamard_fc"
     index = {
         "instruction": instruction.text,
-        "difficulty": config.difficulty,
+        "difficulty": config.env.difficulty,
         "seed": seed,
         "reward": result.reward,
         "note": ("heatmap is the channel-mean of the Hadamard-attended "
@@ -487,7 +456,7 @@ def main(argv=None) -> int:
         cmd_eval(config, out_dir, Path(args.checkpoint), mode, episodes, seed)
         return 0
     if args.command == "visualize":
-        corpus = gridnav.build_corpus(config.corpus_seed)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
         instruction = (gridnav.instruction_from_text(args.instruction)
                        if args.instruction else corpus.train[0])
         cmd_visualize(config, out_dir, Path(args.checkpoint), instruction, seed)

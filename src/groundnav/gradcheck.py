@@ -1,9 +1,12 @@
 """Central finite-difference verification of the autodiff engine.
 
 Every op kind in ``autodiff.OP_KINDS`` gets randomized small cases checked
-against a two-sided difference quotient; a full model pass (render through
-encoders, attention, fusion, and heads) is checked on a handful of randomly
-chosen parameters per tensor. The CLI surfaces this as ``gradcheck``.
+against a two-sided difference quotient. End to end, the instruction
+encoder and ``nets.model_step`` (the forward pass training uses) run over
+three rendered frames with the attention state carried between them, and a
+handful of randomly chosen entries per parameter tensor are checked; every
+tensor, the GRU and the attention LSTM included, gets a nonzero gradient.
+The CLI surfaces this as ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gridnav, nets
+from .a3c import policy_entropy
 from .autodiff import OP_KINDS, Graph, Tensor
 
 STEP = 1e-5
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
 END_TO_END_SAMPLES = 3
+# Three frames: under lstm_cellstate the output gate first reaches the loss
+# through the attention applied at frame 3 (h_1 -> C_2 -> frame 3).
+END_TO_END_ACTIONS = ("turn_left", "turn_left", "move_forward")
 
 
 def relative_error(a: float, f: float) -> float:
@@ -111,18 +118,6 @@ def _case_shift(rng):
         return _weighted(g, g.shift(leaves[0], beta), w)
 
     return [x], build
-
-
-def _case_matmul(rng):
-    m, k, n = (int(rng.integers(1, 5)) for _ in range(3))
-    a = rng.uniform(-1, 1, size=(m, k))
-    b = rng.uniform(-1, 1, size=(k, n))
-    w = rng.standard_normal((m, n))
-
-    def build(g, leaves):
-        return _weighted(g, g.matmul(leaves[0], leaves[1]), w)
-
-    return [a, b], build
 
 
 def _case_matvec(rng):
@@ -268,7 +263,6 @@ CASE_BUILDERS: dict[str, Callable] = {
     "mul": _case_mul,
     "scale": _case_scale,
     "shift": _case_shift,
-    "matmul": _case_matmul,
     "matvec": _case_matvec,
     "conv2d": _case_conv2d,
     "conv1d_channels": _case_conv1d_channels,
@@ -330,6 +324,7 @@ def _op_tag(op: str) -> int:
 # --------------------------------------------------------------------------
 
 def _tiny_model(seed: int):
+    """A small model, an instruction, and the frames of a fixed walk."""
     corpus = gridnav.build_corpus(0)
     vocab = nets.build_vocab(corpus.train + corpus.test)
     mconf = nets.ModelConfig(
@@ -338,30 +333,42 @@ def _tiny_model(seed: int):
         conv_specs=((4, 5, 3), (6, 4, 2), (8, 3, 1)))
     params = nets.init_params(mconf, seed)
     instruction = corpus.train[0]
-    _, obs = gridnav.reset(seed, "easy", instruction, render_hw=(27, 36))
-    return mconf, params, instruction, obs
+    state, obs = gridnav.reset(seed, "easy", instruction, render_hw=(27, 36))
+    images = [obs.image]
+    for action in END_TO_END_ACTIONS[:-1]:
+        state, obs = gridnav.step(state, action)
+        images.append(obs.image)
+    return mconf, params, instruction, images
 
 
-def _full_loss(mconf, params, instruction, obs) -> Tensor:
-    """sum(policy logits) + value over the complete forward pass."""
+def _rollout_loss(mconf, params, instruction, images) -> Tensor:
+    """sum_t log p(a_t) + V_t + H_t through ``model_step``, the forward pass
+    that trains, with the attention state carried across frames.
+
+    Not the A3C loss: its advantage is a constant taken from the values, so
+    central differences would see a different function than backward does.
+    """
     g = Graph()
     x_l = nets.encode_instruction(g, params, mconf, instruction.tokens)
-    features = nets.encode_image(g, params, mconf, obs.image)
-    prev = nets.initial_attention_state(mconf)
-    att, _ = nets.compute_attention(
-        g, mconf.attention_source, params, mconf, x_l, features, prev)
-    state = nets.apply_attention(g, mconf.application, att, features, params)
-    logits, value = nets.policy_heads(g, params, state)
-    return g.add(g.sum_all(logits), value)
+    att = nets.initial_attention_state(mconf)
+    loss = None
+    for image, action in zip(images, END_TO_END_ACTIONS):
+        out = nets.model_step(g, params, mconf, x_l, image, att)
+        log_p = g.log(g.pick(out.probs, gridnav.ACTIONS.index(action)))
+        term = g.add(g.add(log_p, out.value), policy_entropy(g, out.probs))
+        loss = term if loss is None else g.add(loss, term)
+        att = out.next_attention_state
+    return loss
 
 
 def check_end_to_end(seed: int = 0,
                      samples_per_tensor: int = END_TO_END_SAMPLES) -> float:
-    mconf, params, instruction, obs = _tiny_model(seed)
+    model = _tiny_model(seed)
+    params = model[1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE2E]))
 
     params.zero_grads()
-    loss = _full_loss(mconf, params, instruction, obs)
+    loss = _rollout_loss(*model)
     loss.graph.backward(loss)
 
     worst = 0.0
@@ -374,9 +381,9 @@ def check_end_to_end(seed: int = 0,
         for idx in rng.choice(flat.size, size=count, replace=False):
             orig = flat[idx]
             flat[idx] = orig + STEP
-            f_plus = _full_loss(mconf, params, instruction, obs).item()
+            f_plus = _rollout_loss(*model).item()
             flat[idx] = orig - STEP
-            f_minus = _full_loss(mconf, params, instruction, obs).item()
+            f_minus = _rollout_loss(*model).item()
             flat[idx] = orig
             fd = (f_plus - f_minus) / (2.0 * STEP)
             worst = max(worst, relative_error(analytic[idx], fd))

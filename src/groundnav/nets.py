@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -305,65 +305,56 @@ def attention_step(g: Graph, params: Params, config: ModelConfig,
     return AttentionState(h=h, C=c)
 
 
-def apply_attention(g: Graph, application: str, attention: Tensor,
-                    features: Tensor, params: Params) -> Tensor:
-    """Fuse attention with feature maps into the flat state vector."""
-    if application == "conv1d":
-        return g.flatten(g.conv1d_channels(features, attention))
-    if application == "hadamard_fc":
-        weighted = g.mul_channels(features, attention)
-        flat = g.flatten(weighted)
-        return g.add(g.matvec(params["had_w"], flat), params["had_b"])
-    raise ValueError(f"unknown application {application!r}")
+def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
+         features: Tensor, prev: Optional[AttentionState]
+         ) -> tuple[Optional[Tensor], Optional[Tensor], Tensor,
+                    Optional[AttentionState]]:
+    """(attention, attended maps, fused state, next recurrent state).
 
-
-def compute_attention(g: Graph, source: str, params: Params,
-                      config: ModelConfig, x_l: Tensor, features: Tensor,
-                      prev: Optional[AttentionState]
-                      ) -> tuple[Tensor, Optional[AttentionState]]:
-    """Attention vector to apply at the current step plus updated recurrent
-    state. Recurrent sources apply the previous step's vector and advance
-    the LSTM; the others recompute from scratch and leave ``prev`` alone."""
-    if source == "static_instruction":
-        a = g.sigmoid(g.add(g.matvec(params["att_w"], x_l), params["att_b"]))
-        return a, prev
-    if source == "current_frame":
+    Recurrent sources apply the previous step's vector, then advance the
+    LSTM on the fused state and the instruction; the other sources compute
+    the vector from scratch and pass ``prev`` through. ``concat`` fusion has
+    no attention, so its vector and maps are None.
+    """
+    if config.fusion == "concat":
         inp = g.concat([g.flatten(features), x_l])
-        a = g.sigmoid(g.add(g.matvec(params["att_w"], inp), params["att_b"]))
-        return a, prev
-    if source in ("lstm_output", "lstm_cellstate"):
+        state = g.add(g.matvec(params["cat_w"], inp), params["cat_b"])
+        return None, None, state, prev
+
+    source = config.attention_source
+    recurrent = source in ("lstm_output", "lstm_cellstate")
+    if recurrent:
         if prev is None:
             raise ValueError(f"{source} needs a previous attention state")
         att = prev.h if source == "lstm_output" else prev.C
-        state = apply_attention(g, config.application, att, features, params)
-        x_t = g.concat([state, x_l])
-        new = attention_step(g, params, config, prev, x_t)
-        return att, new
-    raise ValueError(f"unknown attention source {source!r}")
+    else:
+        inp = x_l if source == "static_instruction" \
+            else g.concat([g.flatten(features), x_l])
+        att = g.sigmoid(g.add(g.matvec(params["att_w"], inp), params["att_b"]))
 
+    if config.application == "conv1d":
+        maps = g.conv1d_channels(features, att)
+        state = g.flatten(maps)
+    else:
+        maps = g.mul_channels(features, att)
+        flat = g.flatten(maps)
+        state = g.add(g.matvec(params["had_w"], flat), params["had_b"])
 
-def concat_fusion(g: Graph, params: Params, x_l: Tensor,
-                  features: Tensor) -> Tensor:
-    inp = g.concat([g.flatten(features), x_l])
-    return g.add(g.matvec(params["cat_w"], inp), params["cat_b"])
-
-
-def policy_heads(g: Graph, params: Params, state: Tensor) -> tuple[Tensor, Tensor]:
-    """(logits, value) from the shared trunk."""
-    trunk = g.relu(g.add(g.matvec(params["trunk_w"], state), params["trunk_b"]))
-    logits = g.add(g.matvec(params["policy_w"], trunk), params["policy_b"])
-    value = g.pick(g.add(g.matvec(params["value_w"], trunk), params["value_b"]), 0)
-    return logits, value
+    if recurrent:
+        prev = attention_step(g, params, config, prev, g.concat([state, x_l]))
+    return att, maps, state, prev
 
 
 def policy_forward(g: Graph, params: Params, state: Tensor) -> tuple[Tensor, Tensor]:
-    logits, value = policy_heads(g, params, state)
+    """(action probabilities, value) from the shared trunk."""
+    trunk = g.relu(g.add(g.matvec(params["trunk_w"], state), params["trunk_b"]))
+    logits = g.add(g.matvec(params["policy_w"], trunk), params["policy_b"])
+    value = g.pick(g.add(g.matvec(params["value_w"], trunk), params["value_b"]), 0)
     return g.softmax(logits), value
 
 
 @dataclass
 class StepOutput:
-    features: Tensor
     attention: Optional[Tensor]
     attended: Optional[Tensor]  # pre-flatten attended maps (heatmap source)
     state: Tensor
@@ -374,40 +365,13 @@ class StepOutput:
 
 def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
                image: Tensor, prev: Optional[AttentionState]) -> StepOutput:
-    """Full per-frame forward pass, computing the fused state once."""
+    """Full per-frame forward pass: image encoder, fusion, policy heads."""
     features = encode_image(g, params, config, image)
-
-    if config.fusion == "concat":
-        state = concat_fusion(g, params, x_l, features)
-        att = attended = None
-        new_prev = prev
-    elif config.attention_source in ("lstm_output", "lstm_cellstate"):
-        if prev is None:
-            raise ValueError("recurrent attention needs a previous state")
-        att = prev.h if config.attention_source == "lstm_output" else prev.C
-        attended, state = _apply_keep_maps(g, config, att, features, params)
-        x_t = g.concat([state, x_l])
-        new_prev = attention_step(g, params, config, prev, x_t)
-    else:
-        att, _ = compute_attention(
-            g, config.attention_source, params, config, x_l, features, prev)
-        attended, state = _apply_keep_maps(g, config, att, features, params)
-        new_prev = prev
-
+    att, attended, state, new_prev = fuse(g, params, config, x_l, features,
+                                          prev)
     probs, value = policy_forward(g, params, state)
-    return StepOutput(features=features, attention=att, attended=attended,
-                      state=state, probs=probs, value=value,
-                      next_attention_state=new_prev)
-
-
-def _apply_keep_maps(g: Graph, config: ModelConfig, attention: Tensor,
-                     features: Tensor, params: Params) -> tuple[Tensor, Tensor]:
-    if config.application == "conv1d":
-        maps = g.conv1d_channels(features, attention)
-        return maps, g.flatten(maps)
-    maps = g.mul_channels(features, attention)
-    flat = g.flatten(maps)
-    return maps, g.add(g.matvec(params["had_w"], flat), params["had_b"])
+    return StepOutput(attention=att, attended=attended, state=state,
+                      probs=probs, value=value, next_attention_state=new_prev)
 
 
 # --------------------------------------------------------------------------
@@ -433,18 +397,7 @@ def count_report(config: ModelConfig) -> dict[str, int]:
 # --------------------------------------------------------------------------
 
 def config_digest(config: ModelConfig) -> str:
-    payload = json.dumps({
-        "vocab": list(config.vocab),
-        "d": config.d, "l": config.l,
-        "embed_dim": config.embed_dim, "hidden": config.hidden,
-        "render_h": config.render_h, "render_w": config.render_w,
-        "conv_specs": [list(s) for s in config.conv_specs],
-        "attention_source": config.attention_source,
-        "application": config.application,
-        "fusion": config.fusion,
-        "action_count": config.action_count,
-        "forget_gate_sees_input": config.forget_gate_sees_input,
-    }, sort_keys=True)
+    payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def _scalar_steps(g, rewards, dones, values=None, actions=None, n_actions=3):
         probs = g.softmax(logits)
         lp = g.log(g.pick(probs, a))
         ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-        steps.append(RolloutStep(state=None, action=a, log_prob=lp,
+        steps.append(RolloutStep(action=a, log_prob=lp,
                                  value=g.shift(g.sum_all(Tensor(0.0)), v),
                                  entropy=ent, reward=r, done=d))
     return steps
@@ -157,7 +158,7 @@ class TestComputeLosses:
         lp = g.log(g.pick(probs, 0))
         ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
         buf = _fill(RolloutBuffer(1),
-                    [RolloutStep(state=None, action=0, log_prob=lp,
+                    [RolloutStep(action=0, log_prob=lp,
                                  value=g.shift(g.scale(v, 1.0), 0.0),
                                  entropy=ent, reward=1.0, done=True)])
         policy_loss, _, _ = compute_losses(g, buf, [1.0])
@@ -250,7 +251,7 @@ def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
             reward = 1.0 if action == 0 else 0.0
             lp = g.log(g.pick(probs, action))
             ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-            buf.append(RolloutStep(state=None, action=action, log_prob=lp,
+            buf.append(RolloutStep(action=action, log_prob=lp,
                                    value=value, entropy=ent, reward=reward,
                                    done=True))
         returns = compute_returns(buf, 0.0, config.gamma)
@@ -335,6 +336,28 @@ class TestTrainLoop:
         for row in result.rows:
             for key in ("policy_loss", "value_loss", "entropy"):
                 assert math.isfinite(row[key])
+
+    def test_async_worker_failure_raised(self, tiny_model, monkeypatch):
+        # one worker fails mid-run; the run must stop and report it, not
+        # finish its budget on the surviving worker
+        _, mconf = tiny_model
+        advance = gridnav.advance
+        calls = [0]
+        lock = threading.Lock()
+
+        def failing_advance(state, action):
+            with lock:
+                calls[0] += 1
+                if calls[0] == 50:
+                    raise RuntimeError("advance failed")
+            return advance(state, action)
+
+        monkeypatch.setattr(gridnav, "advance", failing_advance)
+        tconf = TrainerConfig(max_frames=400, mode="async", workers=2)
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        with pytest.raises(RuntimeError, match="advance failed"):
+            train(tconf, mconf, env, seed=5)
+        assert calls[0] < 400
 
     def test_update_accounting(self, tiny_model):
         # every worker cycle applies exactly one update

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groundnav import gradcheck
-from groundnav.autodiff import ELEMENTWISE_KINDS, OP_KINDS, Graph, Tensor, backward
+from groundnav.autodiff import OP_KINDS, Graph, Tensor
 
 
 def conv2d_loop(x, kernels, stride):
@@ -77,51 +77,6 @@ class TestElementwise:
         g = Graph()
         with pytest.raises(ValueError):
             g.add(Tensor([1.0]), Tensor([1.0, 2.0]))
-
-    def test_dispatcher_kinds(self):
-        g = Graph()
-        x = Tensor([0.5, -0.5])
-        y = Tensor([1.0, 2.0])
-        np.testing.assert_allclose(g.elementwise("add", x, y).data,
-                                   x.data + y.data)
-        np.testing.assert_allclose(g.elementwise("scale", x, 2.0).data,
-                                   x.data * 2.0)
-        np.testing.assert_allclose(g.elementwise("tanh", x).data,
-                                   np.tanh(x.data))
-        with pytest.raises(ValueError):
-            g.elementwise("pow", x)
-        with pytest.raises(ValueError):
-            g.elementwise("add", x, None)
-
-    def test_elementwise_kinds_registered(self):
-        assert set(ELEMENTWISE_KINDS) <= set(OP_KINDS)
-
-
-class TestMatmul:
-    def test_identity(self):
-        g = Graph()
-        m = Tensor([[1.5, -2.0], [0.25, 4.0]])
-        out = g.matmul(Tensor(np.eye(2)), m)
-        np.testing.assert_array_equal(out.data, m.data)
-
-    def test_scalar_arithmetic(self):
-        g = Graph()
-        out = g.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        np.testing.assert_allclose(out.data, [[11.0]])  # 1*3 + 2*4
-
-    def test_gradient_is_column_sums(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-        g = Graph()
-        g.backward(g.sum_all(g.matmul(a, b)))
-        expected = np.tile(b.data.sum(axis=1), (3, 1))
-        np.testing.assert_allclose(a.grad, expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        g = Graph()
-        with pytest.raises(ValueError):
-            g.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
 class TestConv2d:
@@ -278,7 +233,7 @@ class TestBackward:
         with pytest.raises(ValueError):
             g.backward(loss)
         with pytest.raises(ValueError):
-            backward(g, Tensor(1.0))
+            g.backward(Tensor(1.0))
 
     def test_cross_graph_tensors_rejected(self):
         g1, g2 = Graph(), Graph()
@@ -330,6 +285,16 @@ class TestGradCheckProperty:
     def test_op_gradients(self, op):
         err = gradcheck.check_op(op, seed=123, cases=15)
         assert err < gradcheck.OP_TOL, f"{op}: {err}"
+
+    def test_end_to_end_reaches_every_parameter(self):
+        # the GRU, the embedding and every LSTM gate must reach the loss, or
+        # the end-to-end check compares zero with zero
+        mconf, params, instruction, images = gradcheck._tiny_model(0)
+        loss = gradcheck._rollout_loss(mconf, params, instruction, images)
+        loss.graph.backward(loss)
+        assert len(params.names()) == 27
+        assert [n for n, t in params.items()
+                if t.grad is None or not t.grad.any()] == []
 
     def test_corruption_is_detected(self):
         err = gradcheck.check_op("mul", seed=123, cases=5, corrupt=True)

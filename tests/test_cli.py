@@ -56,14 +56,38 @@ class TestConfigParsing:
         assert parsed == config
 
     def test_tiny_values(self, tiny_config):
-        assert tiny_config.d == 8
+        assert tiny_config.model.d == 8
         assert tiny_config.seeds == (1,)
-        assert tiny_config.conv_specs == ((4, 5, 3), (6, 4, 2), (8, 3, 1))
-        assert tiny_config.max_frames == 600
+        assert tiny_config.model.conv_specs == ((4, 5, 3), (6, 4, 2), (8, 3, 1))
+        assert tiny_config.trainer.max_frames == 600
+        assert tiny_config.env.difficulty == "easy"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("not_a_key = 3\n")
+
+    def test_key_set(self):
+        keys = [line.split(" = ")[0]
+                for line in config_to_text(ExperimentConfig()).splitlines()]
+        assert sorted(keys) == sorted([
+            "difficulty", "attention_source", "application", "fusion",
+            "seeds", "corpus_seed", "d", "l", "embed_dim", "hidden",
+            "render_h", "render_w", "conv_specs", "forget_gate_sees_input",
+            "gamma", "n_steps", "entropy_coef", "value_coef",
+            "grad_clip_norm", "learning_rate", "workers", "mode",
+            "max_frames", "max_episodes", "log_every_episodes",
+            "checkpoint_every_episodes", "early_stop_accuracy", "eval_mode",
+            "eval_episodes", "out_dir"])
+        for hidden in ("vocab", "action_count", "rmsprop_alpha",
+                       "rmsprop_eps"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_text(f"{hidden} = 1\n")
+
+    def test_cross_field_rejected_at_parse(self):
+        with pytest.raises(ValueError, match="d channels"):
+            parse_config_text("d = 8\n")
+        with pytest.raises(ValueError, match="single-worker"):
+            parse_config_text("workers = 2\n")
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ValueError):
@@ -76,7 +100,7 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# hello\n\nd = 16\n"
                                    "conv_specs = 8x4x4,12x3x2,16x2x1  # inline\n")
-        assert config.d == 16
+        assert config.model.d == 16
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -84,7 +108,7 @@ class TestConfigParsing:
 
     def test_bool_parsing(self):
         config = parse_config_text("forget_gate_sees_input = false\n")
-        assert config.forget_gate_sees_input is False
+        assert config.model.forget_gate_sees_input is False
         with pytest.raises(ValueError):
             parse_config_text("forget_gate_sees_input = maybe\n")
 
@@ -174,7 +198,7 @@ class TestTrain:
         log = (tmp_path / "seed1" / "train_log.csv").read_text()
         assert log.splitlines() == [
             "episodes,frames,mean_reward,accuracy,policy_loss,value_loss,entropy"]
-        corpus = gridnav.build_corpus(config.corpus_seed)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
         mconf = config.model_config(corpus)
         loaded = nets.load_params(tmp_path / "seed1" / "checkpoint.bin", mconf)
         fresh = nets.init_params(mconf, 1)
@@ -204,8 +228,7 @@ class TestTrain:
     def test_resolved_config_written_and_parseable(self, tiny_config, tmp_path):
         cmd_train(tiny_config, tmp_path)
         resolved = load_config(tmp_path / "resolved.cfg")
-        assert resolved.d == tiny_config.d
-        assert resolved.max_frames == tiny_config.max_frames
+        assert resolved == tiny_config
 
     def test_parameter_counts_printed(self, tiny_config, tmp_path, capsys):
         cmd_train(tiny_config, tmp_path)
@@ -259,7 +282,7 @@ class TestEval:
         config, out = trained
         report = cmd_eval(config, tmp_path, out / "seed1" / "checkpoint.bin",
                           "zeroshot", 30, seed=5)
-        corpus = gridnav.build_corpus(config.corpus_seed)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
         test_texts = {ins.text for ins in corpus.test}
         assert set(report.per_instruction) <= test_texts
 
@@ -291,7 +314,7 @@ class TestEval:
 class TestVisualize:
     def test_ppm_artifacts(self, trained_short, tmp_path):
         config, out = trained_short
-        corpus = gridnav.build_corpus(config.corpus_seed)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
         index = cmd_visualize(config, tmp_path,
                               out / "seed1" / "checkpoint.bin",
                               corpus.train[0], seed=4)
@@ -299,8 +322,9 @@ class TestVisualize:
         first = index["steps"][0]
         frame = read_ppm(tmp_path / first["frame"])
         heat = read_ppm(tmp_path / first["attention"])
-        assert frame.shape == (3, config.render_h, config.render_w)
-        assert heat.shape == (3, config.render_h, config.render_w)
+        shape = (3, config.model.render_h, config.model.render_w)
+        assert frame.shape == shape
+        assert heat.shape == shape
         assert heat.min() >= 0.0 and heat.max() <= 1.0
         data = json.loads((tmp_path / "index.json").read_text())
         assert len(data["steps"]) == len(index["steps"])
@@ -310,7 +334,7 @@ class TestVisualize:
             TINY_CONFIG + "application = hadamard_fc\nmax_frames = 100\n")
         out = tmp_path / "run"
         cmd_train(config, out)
-        corpus = gridnav.build_corpus(config.corpus_seed)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
         index = cmd_visualize(config, tmp_path / "viz",
                               out / "seed1" / "checkpoint.bin",
                               corpus.train[1], seed=1)

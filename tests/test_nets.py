@@ -9,14 +9,12 @@ from groundnav.autodiff import Graph, Tensor
 from groundnav.nets import (
     AttentionState,
     ModelConfig,
-    apply_attention,
     attention_step,
-    compute_attention,
-    concat_fusion,
     config_digest,
     count_report,
     encode_image,
     encode_instruction,
+    fuse,
     init_params,
     initial_attention_state,
     load_params,
@@ -395,23 +393,32 @@ class TestAttentionStep:
 
 
 class TestApplyAttention:
+    @staticmethod
+    def _carried(c):
+        # under lstm_cellstate, fuse applies the carried cell state
+        return AttentionState(h=Tensor(np.zeros(len(c))), C=Tensor(c))
+
     def test_conv1d_one_hot(self, small_config):
         params = init_params(small_config, 1)
         rng = np.random.default_rng(1)
         features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
         att = np.zeros(8)
         att[3] = 1.0
-        out = apply_attention(Graph(), "conv1d", Tensor(att), features, params)
-        np.testing.assert_allclose(out.data, features.data[3].reshape(-1),
+        _, maps, state, _ = fuse(Graph(), params, small_config,
+                                 Tensor(np.zeros(8)), features,
+                                 self._carried(att))
+        np.testing.assert_allclose(state.data, features.data[3].reshape(-1),
                                    atol=1e-14)
+        assert maps.shape == (1, 1, 2)
 
     def test_conv1d_state_length(self, small_config):
         params = init_params(small_config, 1)
         rng = np.random.default_rng(2)
         features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
-        out = apply_attention(Graph(), "conv1d",
-                              Tensor(rng.uniform(0, 1, 8)), features, params)
-        assert out.shape == (small_config.state_len,)
+        _, _, state, _ = fuse(Graph(), params, small_config,
+                              Tensor(np.zeros(8)), features,
+                              self._carried(rng.uniform(0, 1, 8)))
+        assert state.shape == (small_config.state_len,)
 
     def test_hadamard_ones_is_fc_of_features(self, vocab):
         config = ModelConfig(vocab=vocab, d=8, l=8, embed_dim=4, hidden=8,
@@ -421,18 +428,19 @@ class TestApplyAttention:
         params = init_params(config, 3)
         rng = np.random.default_rng(3)
         features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
-        out = apply_attention(Graph(), "hadamard_fc", Tensor(np.ones(8)),
-                              features, params)
+        _, maps, state, _ = fuse(Graph(), params, config, Tensor(np.zeros(8)),
+                                 features, self._carried(np.ones(8)))
         expected = params["had_w"].data @ features.data.reshape(-1) \
             + params["had_b"].data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        assert out.shape == (config.state_len,)
+        np.testing.assert_allclose(state.data, expected, atol=1e-12)
+        assert state.shape == (config.state_len,)
+        np.testing.assert_array_equal(maps.data, features.data)
 
     def test_unknown_application(self, small_config):
-        params = init_params(small_config, 1)
+        # fuse dispatches on config.application; a derived config is
+        # validated again, so an unknown application never reaches it
         with pytest.raises(ValueError):
-            apply_attention(Graph(), "bilinear", Tensor(np.ones(8)),
-                            Tensor(np.zeros((8, 1, 2))), params)
+            dataclasses.replace(small_config, application="bilinear")
 
     def test_paper_state_length(self, vocab):
         assert paper_config(vocab).state_len == 136
@@ -452,8 +460,7 @@ class TestComputeAttention:
         vectors = []
         for _ in range(5):
             features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
-            att, prev = compute_attention(g, "static_instruction", params,
-                                          config, x_l, features, prev)
+            att, _, _, prev = fuse(g, params, config, x_l, features, prev)
             vectors.append(att.data.tobytes())
         assert len(set(vectors)) == 1
         att_values = np.frombuffer(vectors[0])
@@ -468,8 +475,8 @@ class TestComputeAttention:
         vectors = []
         for _ in range(3):
             features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
-            att, prev = compute_attention(g, "lstm_cellstate", params,
-                                          small_config, x_l, features, prev)
+            att, _, _, prev = fuse(g, params, small_config, x_l, features,
+                                   prev)
             vectors.append(att.data.copy())
         assert (vectors[1] != vectors[2]).any()
 
@@ -489,8 +496,8 @@ class TestComputeAttention:
         h, c = [0.0, 0.0], [1.0, 1.0]
         prev = initial_attention_state(config)
         for t in range(2):
-            att, prev = compute_attention(g, "lstm_cellstate", params, config,
-                                          Tensor(x_l), Tensor(feats[t]), prev)
+            att, _, _, prev = fuse(g, params, config, Tensor(x_l),
+                                   Tensor(feats[t]), prev)
             np.testing.assert_allclose(att.data, c, atol=1e-12)
             # oracle: apply current attention, then update the cell
             state = [sum(c[k] * feats[t][k, i, j] for k in range(2))
@@ -508,17 +515,15 @@ class TestComputeAttention:
         x_l = Tensor(rng.uniform(-1, 1, 8))
         features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
         prev = initial_attention_state(config)
-        att, new = compute_attention(g, "lstm_output", params, config, x_l,
-                                     features, prev)
+        att, _, _, new = fuse(g, params, config, x_l, features, prev)
         np.testing.assert_array_equal(att.data, prev.h.data)
         assert new is not prev
 
     def test_missing_prev_state_rejected(self, small_config):
         params = init_params(small_config, 0)
         with pytest.raises(ValueError):
-            compute_attention(Graph(), "lstm_cellstate", params, small_config,
-                              Tensor(np.zeros(8)), Tensor(np.zeros((8, 1, 2))),
-                              None)
+            fuse(Graph(), params, small_config, Tensor(np.zeros(8)),
+                 Tensor(np.zeros((8, 1, 2))), None)
 
 
 class TestConcatFusion:
@@ -528,20 +533,27 @@ class TestConcatFusion:
                            conv_specs=((4, 5, 3), (6, 4, 2), (8, 3, 1)),
                            fusion="concat")
 
+    @staticmethod
+    def _state(g, params, config, x_l, features):
+        att, maps, state, prev = fuse(g, params, config, x_l, features, None)
+        assert att is None and maps is None and prev is None
+        return state
+
     def test_zero_inputs_zero_state(self, vocab):
         config = self._config(vocab)
         params = init_params(config, 0)
         params["cat_b"].data[...] = 0.0
-        out = concat_fusion(Graph(), params, Tensor(np.zeros(8)),
-                            Tensor(np.zeros((8, 1, 2))))
+        out = self._state(Graph(), params, config, Tensor(np.zeros(8)),
+                          Tensor(np.zeros((8, 1, 2))))
         assert (out.data == 0.0).all()
 
     def test_output_length_matches_conv1d_state(self, vocab):
         config = self._config(vocab)
         params = init_params(config, 1)
         rng = np.random.default_rng(1)
-        out = concat_fusion(Graph(), params, Tensor(rng.uniform(-1, 1, 8)),
-                            Tensor(rng.uniform(-1, 1, (8, 1, 2))))
+        out = self._state(Graph(), params, config,
+                          Tensor(rng.uniform(-1, 1, 8)),
+                          Tensor(rng.uniform(-1, 1, (8, 1, 2))))
         assert out.shape == (config.state_len,)
 
     def test_fc_gradient(self, vocab):
@@ -553,11 +565,12 @@ class TestConcatFusion:
 
         def loss_value():
             g = Graph()
-            return g.sum_all(concat_fusion(g, params, x_l, features)).item()
+            return g.sum_all(
+                self._state(g, params, config, x_l, features)).item()
 
         g = Graph()
         params.zero_grads()
-        g.backward(g.sum_all(concat_fusion(g, params, x_l, features)))
+        g.backward(g.sum_all(self._state(g, params, config, x_l, features)))
         w = params["cat_w"]
         flat = w.data.reshape(-1)
         grads = w.grad.reshape(-1)
@@ -667,6 +680,11 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_params(path, small_config)
+
+    def test_digest_pinned(self, vocab):
+        # checkpoints store this digest; a change to it orphans them
+        assert config_digest(ModelConfig(vocab=vocab)) == (
+            "5ea5e9132092232957da83d27fc72c59b89ac58b81b8d0fe2979f1ce86a9a9a6")
 
     def test_digest_stable(self, small_config):
         assert config_digest(small_config) == config_digest(small_config)
