@@ -353,7 +353,9 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
     plus the final shared parameters. If an async worker raises, the other
-    workers are stopped and its exception is re-raised here."""
+    workers are stopped and its exception is re-raised here; if handling a
+    message raises in the calling thread (a checkpoint callback, say), every
+    worker is stopped and joined before the exception propagates."""
     from .nets import init_params
 
     corpus = gridnav.build_corpus(env.corpus_seed)
@@ -391,14 +393,19 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
                        for wid in range(tconf.workers)]
             for t in threads:
                 t.start()
-            while not collector.stop_event.is_set():
-                try:
-                    collector.handle(chan.get(timeout=0.25))
-                except queue.Empty:
-                    if not any(t.is_alive() for t in threads):
-                        break
-            for t in threads:
-                t.join()
+            try:
+                while not collector.stop_event.is_set():
+                    try:
+                        collector.handle(chan.get(timeout=0.25))
+                    except queue.Empty:
+                        if not any(t.is_alive() for t in threads):
+                            break
+            finally:
+                # also when handle() raises (say, in a checkpoint callback):
+                # no worker may go on training after train() returns
+                collector.stop_event.set()
+                for t in threads:
+                    t.join()
             while True:
                 try:
                     collector.handle(chan.get_nowait())

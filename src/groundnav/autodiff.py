@@ -9,6 +9,15 @@ Gradient semantics: leaf tensors created with ``requires_grad=True``
 accumulate into ``.grad`` across repeated ``backward`` calls until the caller
 resets them (multi-step rollouts rely on this). Intermediate gradients are
 scratch storage local to one backward sweep.
+
+Lifetime: a tensor holds no reference to its graph; only the graph refers to
+its nodes and their outputs. The tape is therefore acyclic, and reference
+counting frees it, with every array its backward closures keep, as soon as
+the last reference to the ``Graph`` is dropped, without waiting for the
+cyclic garbage collector. Ownership is checked through the tape index
+instead: a graph owns an op output ``t`` when ``t.node`` is in range and
+``nodes[t.node].output is t``. Ops reject operands that another graph owns,
+and ``backward`` rejects a loss this graph does not own.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ class Tensor:
     node that produced them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node", "graph")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is np.ndarray and data.dtype == np.float64:
@@ -44,7 +53,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.node = -1
-        self.graph: Optional["Graph"] = None
 
     @property
     def shape(self):
@@ -106,8 +114,11 @@ class Graph:
 
     # -- recording machinery -------------------------------------------------
 
+    def _owns(self, t: Tensor) -> bool:
+        return 0 <= t.node < len(self.nodes) and self.nodes[t.node].output is t
+
     def _adopt(self, t: Tensor) -> Tensor:
-        if t.graph is not None and t.graph is not self:
+        if t.node >= 0 and not self._owns(t):
             raise ValueError("tensor belongs to a different graph")
         return t
 
@@ -115,7 +126,6 @@ class Graph:
                 backward_fn: Callable) -> Tensor:
         out = Tensor(out_data)  # validates finiteness of the forward output
         out.requires_grad = any(t.requires_grad for t in inputs)
-        out.graph = self
         out.node = len(self.nodes)
         self.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
         return out
@@ -225,7 +235,16 @@ class Graph:
         """Valid (unpadded) 2-D convolution over channel-major images.
 
         x: (c_in, H, W), kernels: (c_out, c_in, k, k). Output spatial dims
-        are floor((H - k) / stride) + 1 by the same in W.
+        are ho = floor((H - k) / stride) + 1 by the same wo in W.
+
+        im2col lays the patches out as columns, ``cols`` of shape
+        (c_in*k*k, ho*wo), rows in (channel, kernel row, kernel column)
+        order, so the forward is the single product
+        ``kernels.reshape(c_out, c_in*k*k) @ cols`` and its result is the
+        output in (c_out, ho, wo) order with no transpose. The backward
+        reuses ``cols`` for the kernel gradient and folds the column
+        gradient back onto the image one (kernel row, kernel column) offset
+        at a time.
         """
         self._adopt(x)
         self._adopt(kernels)
@@ -243,27 +262,25 @@ class Graph:
             raise ValueError(f"conv2d: kernel {k} larger than input {h}x{w}")
         ho = (h - k) // stride + 1
         wo = (w - k) // stride + 1
-        patches = _conv_patches(x.data, k, stride)
-        # (ho*wo, c_in*k*k) layout turns the contraction into one dgemm
-        p2 = np.ascontiguousarray(
-            patches.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, c_in * k * k)
+        # one copy of the strided patch view gives the GEMM operand directly
+        cols = np.ascontiguousarray(
+            _conv_patches(x.data, k, stride)).reshape(c_in * k * k, ho * wo)
         k2 = kernels.data.reshape(c_out, c_in * k * k)
-        out = np.ascontiguousarray((p2 @ k2.T).T).reshape(c_out, ho, wo)
+        out = (k2 @ cols).reshape(c_out, ho, wo)
         in_shape = x.data.shape
         need_gx = x.requires_grad  # skipping the fold for constant images
 
         def bwd(g):
             g2 = g.reshape(c_out, ho * wo)
-            gk = (g2 @ p2).reshape(c_out, c_in, k, k)
+            gk = (g2 @ cols.T).reshape(c_out, c_in, k, k)
             gx = None
             if need_gx:
-                gp = (g2.T @ k2).reshape(ho, wo, c_in, k, k)
+                gcols = (k2.T @ g2).reshape(c_in, k, k, ho, wo)
                 gx = np.zeros(in_shape)
                 for a in range(k):
                     for b in range(k):
                         gx[:, a:a + ho * stride:stride,
-                           b:b + wo * stride:stride] += \
-                            gp[:, :, :, a, b].transpose(2, 0, 1)
+                           b:b + wo * stride:stride] += gcols[:, a, b]
             return (gx, gk)
 
         return self._record("conv2d", (x, kernels), out, bwd)
@@ -414,7 +431,7 @@ class Graph:
         Repeated calls accumulate. Intermediate gradients are recomputed
         each call, so two sweeps exactly double the leaf gradients.
         """
-        if loss.graph is not self or loss.node < 0:
+        if not self._owns(loss):
             raise ValueError("loss was not produced on this graph")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -451,13 +468,15 @@ class Graph:
 
 
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Read-only (c, k, k, ho, wo) view: [c, a, b, i, j] is
+    x[c, i * stride + a, j * stride + b]."""
     c, h, w = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
     s0, s1, s2 = x.strides
     return np.lib.stride_tricks.as_strided(
         x,
-        shape=(c, ho, wo, k, k),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2),
+        shape=(c, k, k, ho, wo),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride),
         writeable=False,
     )

@@ -282,8 +282,8 @@ assert set(CASE_BUILDERS) == set(OP_KINDS), "op registry out of sync"
 def check_case(arrays, build, corrupt: bool = False) -> float:
     """Max relative error between reverse-mode and central differences."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = build(Graph(), leaves)
-    loss.graph.backward(loss)
+    g = Graph()
+    g.backward(build(g, leaves))
     max_err = 0.0
     for leaf in leaves:
         analytic = leaf.grad if leaf.grad is not None \
@@ -341,9 +341,10 @@ def _tiny_model(seed: int):
     return mconf, params, instruction, images
 
 
-def _rollout_loss(mconf, params, instruction, images) -> Tensor:
-    """sum_t log p(a_t) + V_t + H_t through ``model_step``, the forward pass
-    that trains, with the attention state carried across frames.
+def _rollout_loss(mconf, params, instruction, images) -> tuple[Graph, Tensor]:
+    """The graph and the loss sum_t log p(a_t) + V_t + H_t through
+    ``model_step``, the forward pass that trains, with the attention state
+    carried across frames.
 
     Not the A3C loss: its advantage is a constant taken from the values, so
     central differences would see a different function than backward does.
@@ -358,7 +359,7 @@ def _rollout_loss(mconf, params, instruction, images) -> Tensor:
         term = g.add(g.add(log_p, out.value), policy_entropy(g, out.probs))
         loss = term if loss is None else g.add(loss, term)
         att = out.next_attention_state
-    return loss
+    return g, loss
 
 
 def check_end_to_end(seed: int = 0,
@@ -368,8 +369,8 @@ def check_end_to_end(seed: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE2E]))
 
     params.zero_grads()
-    loss = _rollout_loss(*model)
-    loss.graph.backward(loss)
+    g, loss = _rollout_loss(*model)
+    g.backward(loss)
 
     worst = 0.0
     for name, tensor in params.items():
@@ -381,9 +382,9 @@ def check_end_to_end(seed: int = 0,
         for idx in rng.choice(flat.size, size=count, replace=False):
             orig = flat[idx]
             flat[idx] = orig + STEP
-            f_plus = _rollout_loss(*model).item()
+            f_plus = _rollout_loss(*model)[1].item()
             flat[idx] = orig - STEP
-            f_minus = _rollout_loss(*model).item()
+            f_minus = _rollout_loss(*model)[1].item()
             flat[idx] = orig
             fd = (f_plus - f_minus) / (2.0 * STEP)
             worst = max(worst, relative_error(analytic[idx], fd))

@@ -359,6 +359,22 @@ class TestTrainLoop:
             train(tconf, mconf, env, seed=5)
         assert calls[0] < 400
 
+    def test_async_main_thread_failure_stops_workers(self, tiny_model):
+        # a checkpoint callback that raises ends train(); no worker thread
+        # may outlive it and go on training the shared parameters
+        _, mconf = tiny_model
+
+        def failing_checkpoint(episodes, params):
+            raise OSError("checkpoint failed")
+
+        before = set(threading.enumerate())
+        tconf = TrainerConfig(max_frames=10 ** 6, mode="async", workers=2,
+                              checkpoint_every_episodes=1)
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        with pytest.raises(OSError, match="checkpoint failed"):
+            train(tconf, mconf, env, seed=5, checkpoint_cb=failing_checkpoint)
+        assert [t for t in threading.enumerate() if t not in before] == []
+
     def test_update_accounting(self, tiny_model):
         # every worker cycle applies exactly one update
         _, mconf = tiny_model

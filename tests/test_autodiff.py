@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,27 @@ def conv2d_loop(x, kernels, stride):
                                 x[c, i * stride + a, j * stride + b]
                 out[o, i, j] = acc
     return out
+
+
+def conv2d_loop_adjoint(x, kernels, stride, g):
+    """Gradients of sum(g * conv2d_loop(x, kernels, stride)) by the same
+    loops: (d/dx, d/dkernels)."""
+    c_in, _, _ = x.shape
+    c_out, _, k, _ = kernels.shape
+    _, ho, wo = g.shape
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(kernels)
+    for o in range(c_out):
+        for i in range(ho):
+            for j in range(wo):
+                for c in range(c_in):
+                    for a in range(k):
+                        for b in range(k):
+                            gx[c, i * stride + a, j * stride + b] += \
+                                kernels[o, c, a, b] * g[o, i, j]
+                            gk[o, c, a, b] += \
+                                g[o, i, j] * x[c, i * stride + a, j * stride + b]
+    return gx, gk
 
 
 def conv1d_channels_loop(features, attention):
@@ -93,13 +116,25 @@ class TestConv2d:
         out = g.conv2d(Tensor(x), Tensor(k), stride=2)
         np.testing.assert_allclose(out.data, conv2d_loop(x, k, 2), atol=1e-12)
 
-    def test_random_matches_loop_oracle(self):
+    # the paper's strides; with stride > 1 the sizes leave trailing rows and
+    # columns that no window covers, whose input gradient must stay zero
+    @pytest.mark.parametrize("k, stride, h, w", [
+        (3, 1, 8, 8), (4, 2, 9, 11), (8, 4, 18, 23), (5, 3, 12, 16)],
+        ids=["k3s1", "k4s2", "k8s4", "k5s3"])
+    def test_random_matches_loop_oracle(self, k, stride, h, w):
+        assert stride == 1 or ((h - k) % stride and (w - k) % stride)
         rng = np.random.default_rng(11)
-        x = rng.uniform(-1, 1, (3, 8, 8))
-        k = rng.uniform(-1, 1, (4, 3, 3, 3))
+        x = Tensor(rng.uniform(-1, 1, (3, h, w)), requires_grad=True)
+        kern = Tensor(rng.uniform(-1, 1, (4, 3, k, k)), requires_grad=True)
         g = Graph()
-        out = g.conv2d(Tensor(x), Tensor(k), stride=1)
-        np.testing.assert_allclose(out.data, conv2d_loop(x, k, 1), atol=1e-12)
+        out = g.conv2d(x, kern, stride=stride)
+        np.testing.assert_allclose(
+            out.data, conv2d_loop(x.data, kern.data, stride), atol=1e-12)
+        weights = rng.standard_normal(out.shape)
+        g.backward(g.sum_all(g.mul(out, Tensor(weights))))
+        gx, gk = conv2d_loop_adjoint(x.data, kern.data, stride, weights)
+        np.testing.assert_allclose(x.grad, gx, atol=1e-12)
+        np.testing.assert_allclose(kern.grad, gk, atol=1e-12)
 
     def test_kernel_larger_than_input(self):
         g = Graph()
@@ -235,6 +270,24 @@ class TestBackward:
         with pytest.raises(ValueError):
             g.backward(Tensor(1.0))
 
+    def test_tape_freed_without_cycle_collector(self):
+        # a finished tape must go as soon as its Graph is dropped: its patch
+        # matrices and closures dominate the memory of a rollout
+        x = Tensor(np.ones((2, 6, 6)), requires_grad=True)
+        k = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = Graph()
+            loss = g.sum_all(g.relu(g.conv2d(x, k, stride=1)))
+            g.backward(loss)
+            ref = weakref.ref(g)
+            del g, loss
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_cross_graph_tensors_rejected(self):
         g1, g2 = Graph(), Graph()
         x = Tensor([1.0, 2.0])
@@ -290,8 +343,8 @@ class TestGradCheckProperty:
         # the GRU, the embedding and every LSTM gate must reach the loss, or
         # the end-to-end check compares zero with zero
         mconf, params, instruction, images = gradcheck._tiny_model(0)
-        loss = gradcheck._rollout_loss(mconf, params, instruction, images)
-        loss.graph.backward(loss)
+        g, loss = gradcheck._rollout_loss(mconf, params, instruction, images)
+        g.backward(loss)
         assert len(params.names()) == 27
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []
