@@ -4,12 +4,14 @@ Workers roll out up to ``n_steps`` frames against a private environment and
 graph, backpropagate policy + value + entropy losses, then apply a globally
 clipped, adaptively scaled update to the shared parameters under a lock
 (per-tensor application is atomic; reads across tensors may interleave).
-``mode="sync"`` runs one worker inline and is bit-for-bit reproducible.
+Workers report frames, updates, episode ends and failures straight to the
+``Collector``, under its own lock; it keeps the run totals and the log and
+decides when the run stops. ``mode="sync"`` runs one worker inline and is
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -84,33 +86,16 @@ class RolloutStep:
     done: bool
 
 
-class RolloutBuffer:
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.steps: list[RolloutStep] = []
-
-    def append(self, step: RolloutStep) -> None:
-        if len(self.steps) >= self.capacity:
-            raise ValueError("rollout buffer full")
-        self.steps.append(step)
-
-    def clear(self) -> None:
-        self.steps = []
-
-    def __len__(self):
-        return len(self.steps)
-
-
-def compute_returns(buffer: RolloutBuffer, bootstrap_value: float,
+def compute_returns(rollout: list[RolloutStep], bootstrap_value: float,
                     gamma: float) -> list[float]:
     """Discounted returns R_t = r_t + gamma * R_{t+1}, computed backward;
     a done flag cuts the recursion."""
-    if len(buffer) == 0:
-        raise ValueError("empty rollout buffer")
-    returns = [0.0] * len(buffer)
+    if not rollout:
+        raise ValueError("empty rollout")
+    returns = [0.0] * len(rollout)
     acc = float(bootstrap_value)
-    for i in range(len(buffer) - 1, -1, -1):
-        step = buffer.steps[i]
+    for i in range(len(rollout) - 1, -1, -1):
+        step = rollout[i]
         if step.done:
             acc = 0.0
         acc = step.reward + gamma * acc
@@ -118,17 +103,17 @@ def compute_returns(buffer: RolloutBuffer, bootstrap_value: float,
     return returns
 
 
-def compute_losses(g: Graph, buffer: RolloutBuffer, returns: list[float]
-                   ) -> tuple[Tensor, Tensor, Tensor]:
+def compute_losses(g: Graph, rollout: list[RolloutStep],
+                   returns: list[float]) -> tuple[Tensor, Tensor, Tensor]:
     """(policy_loss, value_loss, entropy) as graph scalars.
 
     The advantage R_t - V(s_t) enters the policy term as a constant, so no
     gradient flows into the critic through it.
     """
-    if len(buffer) != len(returns):
-        raise ValueError("returns not aligned with buffer")
+    if len(rollout) != len(returns):
+        raise ValueError("returns not aligned with rollout")
     policy_loss = value_loss = entropy = None
-    for step, ret in zip(buffer.steps, returns):
+    for step, ret in zip(rollout, returns):
         advantage = ret - step.value.item()
         p_term = g.scale(step.log_prob, -advantage)
         diff = g.shift(step.value, -ret)
@@ -188,14 +173,18 @@ def worker_update(shared: Params, opt: SharedOptimizerState,
 
 
 # --------------------------------------------------------------------------
-# Collector: single consumer of worker messages, owner of the log
+# Collector: run totals, stop decisions and the log
 # --------------------------------------------------------------------------
 
 class Collector:
+    """Every worker reports here directly; each report takes ``lock``, so
+    reports from several threads apply one at a time."""
+
     def __init__(self, config: TrainerConfig,
                  checkpoint_cb: Optional[Callable[[int], None]] = None):
         self.config = config
         self.checkpoint_cb = checkpoint_cb
+        self.lock = threading.Lock()
         self.stop_event = threading.Event()
         self.episodes = 0
         self.frames = 0
@@ -205,34 +194,41 @@ class Collector:
         self.rows: list[dict] = []
         self.error: Optional[BaseException] = None
 
-    def handle(self, msg) -> None:
-        kind = msg[0]
-        if kind == "frames":
-            self.frames += msg[1]
+    def add_frames(self, frames: int) -> None:
+        with self.lock:
+            self.frames += frames
             if 0 < self.config.max_frames <= self.frames:
                 self.stop_event.set()
-        elif kind == "update":
-            for i in range(3):
-                self.loss_sums[i] += msg[1 + i]
+
+    def add_update(self, policy_loss: float, value_loss: float,
+                   entropy: float) -> None:
+        with self.lock:
+            for i, loss in enumerate((policy_loss, value_loss, entropy)):
+                self.loss_sums[i] += loss
             self.loss_count += 1
-        elif kind == "episode":
+
+    def end_episode(self, reward: float) -> None:
+        with self.lock:
             self.episodes += 1
-            self.recent.append(msg[1])
+            self.recent.append(reward)
             if self.episodes % self.config.log_every_episodes == 0:
                 self._emit_row()
+            # the callback may take the optimizer lock; no worker reports
+            # while holding that lock, so the two are always taken in the
+            # order collector, then optimizer
             if (self.checkpoint_cb is not None
                     and self.config.checkpoint_every_episodes > 0
                     and self.episodes % self.config.checkpoint_every_episodes == 0):
                 self.checkpoint_cb(self.episodes)
             if 0 < self.config.max_episodes <= self.episodes:
                 self.stop_event.set()
-        elif kind == "error":
+
+    def fail(self, error: BaseException) -> None:
+        with self.lock:
             # the first failure wins; the others stop at their next check
             if self.error is None:
-                self.error = msg[1]
-            self.stop_event.set()
-        else:
-            raise ValueError(f"unknown collector message {msg!r}")
+                self.error = error
+        self.stop_event.set()
 
     def _emit_row(self) -> None:
         n = max(1, self.loss_count)
@@ -250,16 +246,6 @@ class Collector:
             self.stop_event.set()
 
 
-class _InlineChannel:
-    """Sync-mode channel: messages reach the collector immediately."""
-
-    def __init__(self, collector: Collector):
-        self.collector = collector
-
-    def put(self, msg) -> None:
-        self.collector.handle(msg)
-
-
 # --------------------------------------------------------------------------
 # Worker rollout loop
 # --------------------------------------------------------------------------
@@ -270,8 +256,8 @@ def policy_entropy(g: Graph, probs: Tensor) -> Tensor:
 
 def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
                  tconf: TrainerConfig, mconf: ModelConfig,
-                 env: EnvSettings, seed: int, channel,
-                 stop_event: threading.Event, train_split) -> None:
+                 env: EnvSettings, seed: int, collector: Collector,
+                 train_split) -> None:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + worker_id]))
     local = shared.copy()
     render_hw = (mconf.render_h, mconf.render_w)
@@ -287,11 +273,11 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
     att_h = np.zeros(mconf.d)
     att_c = np.ones(mconf.d)
 
-    while not stop_event.is_set():
+    while not collector.stop_event.is_set():
         g = Graph()
         x_l = encode_instruction(g, local, mconf, instruction.tokens)
         att = AttentionState(h=Tensor(att_h), C=Tensor(att_c))
-        buffer = RolloutBuffer(tconf.n_steps)
+        rollout: list[RolloutStep] = []
         frames = 0
         for _ in range(tconf.n_steps):
             out = model_step(g, local, mconf, x_l, obs.image, att)
@@ -300,28 +286,28 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             log_prob = g.log(g.pick(out.probs, action))
             entropy = policy_entropy(g, out.probs)
             state, reward, done = gridnav.advance(state, ACTIONS[action])
-            buffer.append(RolloutStep(
+            rollout.append(RolloutStep(
                 action=action, log_prob=log_prob, value=out.value,
                 entropy=entropy, reward=reward, done=done))
             frames += 1
             att = out.next_attention_state
             if done:
-                channel.put(("episode", reward))
+                collector.end_episode(reward)
                 instruction, state, obs = new_episode()
                 x_l = encode_instruction(g, local, mconf, instruction.tokens)
                 att = initial_attention_state(mconf)
             else:
                 obs = gridnav.render(state)
-            if stop_event.is_set():
+            if collector.stop_event.is_set():
                 break
 
-        channel.put(("frames", frames))
+        collector.add_frames(frames)
         bootstrap = 0.0
-        if not buffer.steps[-1].done:
+        if not rollout[-1].done:
             peek = model_step(g, local, mconf, x_l, obs.image, att)
             bootstrap = peek.value.item()
-        returns = compute_returns(buffer, bootstrap, tconf.gamma)
-        policy_loss, value_loss, entropy = compute_losses(g, buffer, returns)
+        returns = compute_returns(rollout, bootstrap, tconf.gamma)
+        policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         loss = total_loss(g, policy_loss, value_loss, entropy, tconf)
         local.zero_grads()
         g.backward(loss)
@@ -330,8 +316,8 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         worker_update(shared, opt, grads, tconf)
         with opt.lock:
             local.load_values(shared)
-        channel.put(("update", policy_loss.item(), value_loss.item(),
-                     entropy.item()))
+        collector.add_update(policy_loss.item(), value_loss.item(),
+                             entropy.item())
 
         # detach the recurrent state at the segment boundary
         att_h = att.h.data.copy()
@@ -352,10 +338,11 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the final shared parameters. If an async worker raises, the other
-    workers are stopped and its exception is re-raised here; if handling a
-    message raises in the calling thread (a checkpoint callback, say), every
-    worker is stopped and joined before the exception propagates."""
+    plus the final shared parameters. ``checkpoint_cb`` runs on the worker
+    that ended the episode: the calling thread in sync mode, a worker
+    thread in async mode. If an async worker raises, a checkpoint callback
+    included, the other workers are stopped and joined, and its exception
+    is re-raised here."""
     from .nets import init_params
 
     corpus = gridnav.build_corpus(env.corpus_seed)
@@ -375,18 +362,15 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
     has_budget = tconf.max_frames > 0 or tconf.max_episodes > 0
     if has_budget:
         if tconf.mode == "sync":
-            channel = _InlineChannel(collector)
-            _worker_loop(0, shared, opt, tconf, mconf, env, seed, channel,
-                         collector.stop_event, corpus.train)
+            _worker_loop(0, shared, opt, tconf, mconf, env, seed, collector,
+                         corpus.train)
         else:
-            chan: queue.Queue = queue.Queue()
-
             def run_worker(wid: int) -> None:
                 try:
                     _worker_loop(wid, shared, opt, tconf, mconf, env, seed,
-                                 chan, collector.stop_event, corpus.train)
+                                 collector, corpus.train)
                 except BaseException as exc:
-                    chan.put(("error", exc))
+                    collector.fail(exc)
 
             threads = [threading.Thread(target=run_worker, args=(wid,),
                                         daemon=True)
@@ -394,23 +378,14 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
             for t in threads:
                 t.start()
             try:
-                while not collector.stop_event.is_set():
-                    try:
-                        collector.handle(chan.get(timeout=0.25))
-                    except queue.Empty:
-                        if not any(t.is_alive() for t in threads):
-                            break
+                for t in threads:
+                    t.join()
             finally:
-                # also when handle() raises (say, in a checkpoint callback):
-                # no worker may go on training after train() returns
+                # also when the join is interrupted: no worker may go on
+                # training after train() returns
                 collector.stop_event.set()
                 for t in threads:
                     t.join()
-            while True:
-                try:
-                    collector.handle(chan.get_nowait())
-                except queue.Empty:
-                    break
             if collector.error is not None:
                 raise collector.error
 

@@ -117,15 +117,15 @@ class Graph:
     def _owns(self, t: Tensor) -> bool:
         return 0 <= t.node < len(self.nodes) and self.nodes[t.node].output is t
 
-    def _adopt(self, t: Tensor) -> Tensor:
-        if t.node >= 0 and not self._owns(t):
-            raise ValueError("tensor belongs to a different graph")
-        return t
-
     def _record(self, op: str, inputs, out_data: np.ndarray,
                 backward_fn: Callable) -> Tensor:
+        requires_grad = False
+        for t in inputs:
+            if t.node >= 0 and not self._owns(t):
+                raise ValueError("tensor belongs to a different graph")
+            requires_grad = requires_grad or t.requires_grad
         out = Tensor(out_data)  # validates finiteness of the forward output
-        out.requires_grad = any(t.requires_grad for t in inputs)
+        out.requires_grad = requires_grad
         out.node = len(self.nodes)
         self.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
         return out
@@ -133,7 +133,6 @@ class Graph:
     # -- elementwise ----------------------------------------------------------
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        self._adopt(a)
         # exp overflow saturates cleanly: 1/(1+inf) == 0
         with np.errstate(over="ignore"):
             out = 1.0 / (1.0 + np.exp(-a.data))
@@ -144,7 +143,6 @@ class Graph:
         return self._record("sigmoid", (a,), out, bwd)
 
     def tanh(self, a: Tensor) -> Tensor:
-        self._adopt(a)
         out = np.tanh(a.data)
 
         def bwd(g):
@@ -153,7 +151,6 @@ class Graph:
         return self._record("tanh", (a,), out, bwd)
 
     def relu(self, a: Tensor) -> Tensor:
-        self._adopt(a)
         out = np.maximum(a.data, 0.0)
 
         def bwd(g):
@@ -162,7 +159,6 @@ class Graph:
         return self._record("relu", (a,), out, bwd)
 
     def log(self, a: Tensor) -> Tensor:
-        self._adopt(a)
         out = np.log(a.data)
 
         def bwd(g):
@@ -171,8 +167,6 @@ class Graph:
         return self._record("log", (a,), out, bwd)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        self._adopt(a)
-        self._adopt(b)
         if a.data.shape != b.data.shape:
             raise ValueError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
         out = a.data + b.data
@@ -183,8 +177,6 @@ class Graph:
         return self._record("add", (a, b), out, bwd)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        self._adopt(a)
-        self._adopt(b)
         if a.data.shape != b.data.shape:
             raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
         out = a.data * b.data
@@ -195,7 +187,6 @@ class Graph:
         return self._record("mul", (a, b), out, bwd)
 
     def scale(self, a: Tensor, alpha: float) -> Tensor:
-        self._adopt(a)
         alpha = float(alpha)
         out = a.data * alpha
 
@@ -205,7 +196,6 @@ class Graph:
         return self._record("scale", (a,), out, bwd)
 
     def shift(self, a: Tensor, beta: float) -> Tensor:
-        self._adopt(a)
         out = a.data + float(beta)
 
         def bwd(g):
@@ -216,8 +206,6 @@ class Graph:
     # -- linear algebra ---------------------------------------------------------
 
     def matvec(self, w: Tensor, v: Tensor) -> Tensor:
-        self._adopt(w)
-        self._adopt(v)
         if w.data.ndim != 2 or v.data.ndim != 1:
             raise ValueError("matvec expects a matrix and a vector")
         if w.data.shape[1] != v.data.shape[0]:
@@ -246,8 +234,6 @@ class Graph:
         gradient back onto the image one (kernel row, kernel column) offset
         at a time.
         """
-        self._adopt(x)
-        self._adopt(kernels)
         if x.data.ndim != 3 or kernels.data.ndim != 4:
             raise ValueError("conv2d expects (c,H,W) input and (o,c,k,k) kernels")
         c_in, h, w = x.data.shape
@@ -290,8 +276,6 @@ class Graph:
 
         out[0, i, j] = sum_c attention[c] * features[c, i, j]
         """
-        self._adopt(features)
-        self._adopt(attention)
         if features.data.ndim != 3 or attention.data.ndim != 1:
             raise ValueError("conv1d_channels expects (d,H,W) and (d,)")
         if features.data.shape[0] != attention.data.shape[0]:
@@ -311,8 +295,6 @@ class Graph:
         return self._record("conv1d_channels", (features, attention), out, bwd)
 
     def bias_add_channels(self, x: Tensor, b: Tensor) -> Tensor:
-        self._adopt(x)
-        self._adopt(b)
         if x.data.ndim != 3 or b.data.ndim != 1 or x.data.shape[0] != b.data.shape[0]:
             raise ValueError(f"bias_add_channels: {x.data.shape} vs {b.data.shape}")
         out = x.data + b.data[:, None, None]
@@ -324,8 +306,6 @@ class Graph:
 
     def mul_channels(self, x: Tensor, a: Tensor) -> Tensor:
         """Scale each channel plane of x by the matching entry of a."""
-        self._adopt(x)
-        self._adopt(a)
         if x.data.ndim != 3 or a.data.ndim != 1 or x.data.shape[0] != a.data.shape[0]:
             raise ValueError(f"mul_channels: {x.data.shape} vs {a.data.shape}")
         out = x.data * a.data[:, None, None]
@@ -338,7 +318,6 @@ class Graph:
     # -- shape & reduction -------------------------------------------------------
 
     def softmax(self, logits: Tensor) -> Tensor:
-        self._adopt(logits)
         if logits.data.ndim != 1 or logits.data.size < 1:
             raise ValueError("softmax expects a non-empty 1-D tensor")
         z = logits.data - logits.data.max()
@@ -351,7 +330,7 @@ class Graph:
         return self._record("softmax", (logits,), out, bwd)
 
     def concat(self, parts: Sequence[Tensor]) -> Tensor:
-        parts = [self._adopt(p) for p in parts]
+        parts = tuple(parts)
         if not parts:
             raise ValueError("concat of nothing")
         for p in parts:
@@ -368,10 +347,9 @@ class Graph:
                 pos += n
             return tuple(grads)
 
-        return self._record("concat", tuple(parts), out, bwd)
+        return self._record("concat", parts, out, bwd)
 
     def reshape(self, a: Tensor, shape) -> Tensor:
-        self._adopt(a)
         out = a.data.reshape(shape)
         in_shape = a.data.shape
 
@@ -384,7 +362,6 @@ class Graph:
         return self.reshape(a, (a.data.size,))
 
     def sum_all(self, a: Tensor) -> Tensor:
-        self._adopt(a)
         out = np.asarray(a.data.sum())
         in_shape = a.data.shape
 
@@ -394,7 +371,6 @@ class Graph:
         return self._record("sum_all", (a,), out, bwd)
 
     def pick(self, a: Tensor, index: int) -> Tensor:
-        self._adopt(a)
         if a.data.ndim != 1:
             raise ValueError("pick expects a 1-D tensor")
         if not 0 <= index < a.data.size:
@@ -409,7 +385,6 @@ class Graph:
         return self._record("pick", (a,), out, bwd)
 
     def row(self, m: Tensor, index: int) -> Tensor:
-        self._adopt(m)
         if m.data.ndim != 2:
             raise ValueError("row expects a 2-D tensor")
         if not 0 <= index < m.data.shape[0]:

@@ -121,7 +121,6 @@ class WorldState:
     objects: tuple[ObjectSpec, ...]
     correct_ids: frozenset[int]
     step_count: int
-    rng_state: object
     instruction: Instruction
     render_hw: tuple[int, int]
     done: bool = False
@@ -258,15 +257,25 @@ def _episode_rng(seed: int, difficulty: str, instruction: Instruction):
         [seed, DIFFICULTIES.index(difficulty), _stable_hash(instruction.text)]))
 
 
-def in_frustum(agent_pos, heading: str, cell) -> bool:
-    """90-degree field of view centered on the heading."""
+def _view(agent_pos, heading: str, cell,
+          min_forward: int = 1) -> Optional[tuple[int, int]]:
+    """(forward, lateral) cell offset of ``cell`` in the agent's frame, or
+    None when it is outside the 90-degree field of view centered on the
+    heading or less than ``min_forward`` cells ahead."""
     dr = cell[0] - agent_pos[0]
     dc = cell[1] - agent_pos[1]
     f = _FORWARD[heading]
     r = _RIGHT[heading]
     forward = dr * f[0] + dc * f[1]
     lateral = dr * r[0] + dc * r[1]
-    return forward >= 1 and abs(lateral) <= forward
+    if forward >= min_forward and abs(lateral) <= forward:
+        return forward, lateral
+    return None
+
+
+def in_frustum(agent_pos, heading: str, cell) -> bool:
+    """90-degree field of view centered on the heading."""
+    return _view(agent_pos, heading, cell) is not None
 
 
 def _resolve_correct_ids(predicate: Predicate,
@@ -327,17 +336,8 @@ def _sample_specs(rng, predicate: Predicate) -> list[tuple[str, str, str]]:
 
 def _frustum_cells(grid_size, agent_pos, heading, min_forward=2):
     rows, cols = grid_size
-    f = _FORWARD[heading]
-    r = _RIGHT[heading]
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            dr, dc = i - agent_pos[0], j - agent_pos[1]
-            forward = dr * f[0] + dc * f[1]
-            lateral = dr * r[0] + dc * r[1]
-            if forward >= min_forward and abs(lateral) <= forward:
-                out.append((i, j))
-    return out
+    return [(i, j) for i in range(rows) for j in range(cols)
+            if _view(agent_pos, heading, (i, j), min_forward) is not None]
 
 
 def _pick_cells(rng, candidates, count, min_separation=2):
@@ -400,7 +400,6 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
         objects=objects,
         correct_ids=correct,
         step_count=0,
-        rng_state=rng,
         instruction=instruction,
         render_hw=render_hw,
     )
@@ -492,15 +491,11 @@ def render(state: WorldState) -> Observation:
     h_px, w_px = state.render_hw
     img = np.full((3, h_px, w_px), _BACKGROUND)
 
-    f = _FORWARD[state.agent_heading]
-    r = _RIGHT[state.agent_heading]
     visible = []
     for obj in state.objects:
-        dr = obj.position[0] - state.agent_pos[0]
-        dc = obj.position[1] - state.agent_pos[1]
-        forward = dr * f[0] + dc * f[1]
-        lateral = dr * r[0] + dc * r[1]
-        if forward >= 1 and abs(lateral) <= forward:
+        view = _view(state.agent_pos, state.agent_heading, obj.position)
+        if view is not None:
+            forward, lateral = view
             visible.append((math.hypot(forward, lateral), lateral, forward, obj))
     visible.sort(key=lambda v: -v[0])  # farthest first
 

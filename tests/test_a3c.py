@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -8,7 +9,6 @@ from groundnav import a3c, gridnav, nets
 from groundnav.a3c import (
     Collector,
     EnvSettings,
-    RolloutBuffer,
     RolloutStep,
     SharedOptimizerState,
     TrainerConfig,
@@ -39,45 +39,35 @@ def _scalar_steps(g, rewards, dones, values=None, actions=None, n_actions=3):
     return steps
 
 
-def _fill(buffer, steps):
-    for s in steps:
-        buffer.append(s)
-    return buffer
-
-
 class TestComputeReturns:
     def test_single_terminal_step(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5), _scalar_steps(g, [1.0], [True]))
-        assert compute_returns(buf, 0.0, 0.99) == [1.0]
+        rollout = _scalar_steps(g, [1.0], [True])
+        assert compute_returns(rollout, 0.0, 0.99) == [1.0]
 
     def test_all_zero_rewards_terminal(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5),
-                    _scalar_steps(g, [0.0, 0.0, 0.0], [False, False, True]))
-        assert compute_returns(buf, 0.0, 0.99) == [0.0, 0.0, 0.0]
+        rollout = _scalar_steps(g, [0.0, 0.0, 0.0], [False, False, True])
+        assert compute_returns(rollout, 0.0, 0.99) == [0.0, 0.0, 0.0]
 
     def test_hand_recursion_oracle(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5),
-                    _scalar_steps(g, [0.0, 0.0, -0.2], [False, False, True]))
-        returns = compute_returns(buf, 0.0, 0.99)
+        rollout = _scalar_steps(g, [0.0, 0.0, -0.2], [False, False, True])
+        returns = compute_returns(rollout, 0.0, 0.99)
         np.testing.assert_allclose(returns, [-0.19602, -0.198, -0.2],
                                    atol=1e-12)
 
     def test_bootstrap_value_used_when_truncated(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5),
-                    _scalar_steps(g, [0.0, 0.5], [False, False]))
-        returns = compute_returns(buf, 2.0, 0.5)
+        rollout = _scalar_steps(g, [0.0, 0.5], [False, False])
+        returns = compute_returns(rollout, 2.0, 0.5)
         assert returns[1] == pytest.approx(0.5 + 0.5 * 2.0)
         assert returns[0] == pytest.approx(0.5 * returns[1])
 
     def test_done_resets_recursion(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5),
-                    _scalar_steps(g, [1.0, 0.3], [True, False]))
-        returns = compute_returns(buf, 9.0, 0.9)
+        rollout = _scalar_steps(g, [1.0, 0.3], [True, False])
+        returns = compute_returns(rollout, 9.0, 0.9)
         # the terminal at t=0 must not see anything after it
         assert returns[0] == pytest.approx(1.0)
         assert returns[1] == pytest.approx(0.3 + 0.9 * 9.0)
@@ -88,52 +78,43 @@ class TestComputeReturns:
         rewards = rng.uniform(-1, 1, 15).tolist()
         dones = (rng.random(15) < 0.2).tolist()
         dones[-1] = True
-        buf = _fill(RolloutBuffer(15), _scalar_steps(g, rewards, dones))
+        rollout = _scalar_steps(g, rewards, dones)
         gamma = 0.97
-        returns = compute_returns(buf, 0.0, gamma)
+        returns = compute_returns(rollout, 0.0, gamma)
         for t in range(14):
-            if not buf.steps[t].done:
+            if not rollout[t].done:
                 assert returns[t] - gamma * returns[t + 1] == \
                     pytest.approx(rewards[t])
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            compute_returns(RolloutBuffer(5), 0.0, 0.99)
-
-    def test_capacity_enforced(self):
-        g = Graph()
-        buf = RolloutBuffer(1)
-        _fill(buf, _scalar_steps(g, [0.0], [False]))
-        with pytest.raises(ValueError):
-            _fill(buf, _scalar_steps(g, [0.0], [False]))
+            compute_returns([], 0.0, 0.99)
 
 
 class TestComputeLosses:
     def test_zero_advantage_zero_policy_loss(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(5),
-                    _scalar_steps(g, [0.5, 0.5], [False, False],
-                                  values=[0.5 + 0.5 * 0.5, 0.5]))
+        rollout = _scalar_steps(g, [0.5, 0.5], [False, False],
+                                values=[0.5 + 0.5 * 0.5, 0.5])
         # gamma=1 with bootstrap 0 would not give zero advantage; build
         # returns directly equal to the stored values instead
-        returns = [buf.steps[0].value.item(), buf.steps[1].value.item()]
-        policy_loss, _, _ = compute_losses(g, buf, returns)
+        returns = [rollout[0].value.item(), rollout[1].value.item()]
+        policy_loss, _, _ = compute_losses(g, rollout, returns)
         assert policy_loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_policy_entropy(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(4), _scalar_steps(g, [0.0] * 4, [False] * 4))
-        _, _, entropy = compute_losses(g, buf, [0.0] * 4)
+        rollout = _scalar_steps(g, [0.0] * 4, [False] * 4)
+        _, _, entropy = compute_losses(g, rollout, [0.0] * 4)
         assert entropy.item() == pytest.approx(4 * math.log(3), abs=1e-9)
 
     def test_two_step_scalar_oracle(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(2),
-                    _scalar_steps(g, [0.0, 1.0], [False, True],
-                                  values=[0.25, 0.5], actions=[1, 2]))
+        rollout = _scalar_steps(g, [0.0, 1.0], [False, True],
+                                values=[0.25, 0.5], actions=[1, 2])
         gamma = 0.9
-        returns = compute_returns(buf, 0.0, gamma)
-        policy_loss, value_loss, entropy = compute_losses(g, buf, returns)
+        returns = compute_returns(rollout, 0.0, gamma)
+        policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         # oracle: uniform policy, log pi = -log 3 at each step
         adv = [returns[0] - 0.25, returns[1] - 0.5]
         exp_policy = sum(-(-math.log(3)) * a for a in adv)
@@ -144,9 +125,9 @@ class TestComputeLosses:
 
     def test_misaligned_returns_rejected(self):
         g = Graph()
-        buf = _fill(RolloutBuffer(3), _scalar_steps(g, [0.0], [True]))
+        rollout = _scalar_steps(g, [0.0], [True])
         with pytest.raises(ValueError):
-            compute_losses(g, buf, [0.0, 0.0])
+            compute_losses(g, rollout, [0.0, 0.0])
 
     def test_advantage_carries_no_gradient_into_value(self):
         # policy term must not push the value head: with a leaf value
@@ -157,11 +138,10 @@ class TestComputeLosses:
         probs = g.softmax(logits)
         lp = g.log(g.pick(probs, 0))
         ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-        buf = _fill(RolloutBuffer(1),
-                    [RolloutStep(action=0, log_prob=lp,
-                                 value=g.shift(g.scale(v, 1.0), 0.0),
-                                 entropy=ent, reward=1.0, done=True)])
-        policy_loss, _, _ = compute_losses(g, buf, [1.0])
+        rollout = [RolloutStep(action=0, log_prob=lp,
+                               value=g.shift(g.scale(v, 1.0), 0.0),
+                               entropy=ent, reward=1.0, done=True)]
+        policy_loss, _, _ = compute_losses(g, rollout, [1.0])
         g.backward(policy_loss)
         assert v.grad is None or np.allclose(v.grad, 0.0)
         assert logits.grad is not None
@@ -242,7 +222,7 @@ def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
     opt = SharedOptimizerState(params)
     for _ in range(updates):
         g = Graph()
-        buf = RolloutBuffer(rollouts_per_update)
+        rollout = []
         for _ in range(rollouts_per_update):
             probs = g.softmax(g.scale(params["logits"], 1.0))
             value = g.pick(g.scale(params["v"], 1.0), 0)
@@ -251,11 +231,11 @@ def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
             reward = 1.0 if action == 0 else 0.0
             lp = g.log(g.pick(probs, action))
             ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-            buf.append(RolloutStep(action=action, log_prob=lp,
-                                   value=value, entropy=ent, reward=reward,
-                                   done=True))
-        returns = compute_returns(buf, 0.0, config.gamma)
-        losses = compute_losses(g, buf, returns)
+            rollout.append(RolloutStep(action=action, log_prob=lp,
+                                       value=value, entropy=ent, reward=reward,
+                                       done=True))
+        returns = compute_returns(rollout, 0.0, config.gamma)
+        losses = compute_losses(g, rollout, returns)
         loss = total_loss(g, *losses, config)
         params.zero_grads()
         g.backward(loss)
@@ -337,6 +317,23 @@ class TestTrainLoop:
             for key in ("policy_loss", "value_loss", "entropy"):
                 assert math.isfinite(row[key])
 
+    def test_async_single_worker_matches_sync(self, tiny_model):
+        # the worker that reaches the frame budget stops the run itself, so
+        # one async worker trains exactly what the sync loop trains
+        _, mconf = tiny_model
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        for seed in range(10):
+            sync = train(TrainerConfig(max_frames=400, log_every_episodes=5),
+                         mconf, env, seed)
+            one = train(TrainerConfig(max_frames=400, log_every_episodes=5,
+                                      mode="async", workers=1),
+                        mconf, env, seed)
+            assert one.frames == sync.frames == 400, seed
+            assert one.rows == sync.rows, seed
+            for name in sync.params.names():
+                assert one.params[name].data.tobytes() == \
+                    sync.params[name].data.tobytes(), (seed, name)
+
     def test_async_worker_failure_raised(self, tiny_model, monkeypatch):
         # one worker fails mid-run; the run must stop and report it, not
         # finish its budget on the surviving worker
@@ -378,7 +375,7 @@ class TestTrainLoop:
     def test_update_accounting(self, tiny_model):
         # every worker cycle applies exactly one update
         _, mconf = tiny_model
-        from groundnav.a3c import Collector, _InlineChannel, _worker_loop
+        from groundnav.a3c import Collector, _worker_loop
         from groundnav.nets import init_params
 
         tconf = TrainerConfig(max_frames=400)
@@ -387,8 +384,7 @@ class TestTrainLoop:
         collector = Collector(tconf)
         corpus = gridnav.build_corpus(7)
         _worker_loop(0, shared, opt, tconf, mconf,
-                     EnvSettings("easy", 7), 2, _InlineChannel(collector),
-                     collector.stop_event, corpus.train)
+                     EnvSettings("easy", 7), 2, collector, corpus.train)
         expected_updates = (collector.frames + tconf.n_steps - 1) // tconf.n_steps
         assert opt.step_count + opt.skipped == expected_updates
 
@@ -445,9 +441,9 @@ class TestCollector:
         config = TrainerConfig(max_frames=10_000, log_every_episodes=10)
         collector = Collector(config)
         for i in range(25):
-            collector.handle(("frames", 7))
-            collector.handle(("update", 0.1, 0.2, 1.0))
-            collector.handle(("episode", 1.0 if i % 2 else 0.0))
+            collector.add_frames(7)
+            collector.add_update(0.1, 0.2, 1.0)
+            collector.end_episode(1.0 if i % 2 else 0.0)
         assert len(collector.rows) == 2
         assert collector.rows[0]["episodes"] == 10
         assert collector.rows[1]["episodes"] == 20
@@ -456,17 +452,44 @@ class TestCollector:
     def test_frame_budget_stops(self):
         config = TrainerConfig(max_frames=100)
         collector = Collector(config)
-        collector.handle(("frames", 100))
+        collector.add_frames(100)
         assert collector.stop_event.is_set()
 
     def test_episode_budget_stops(self):
         config = TrainerConfig(max_frames=0, max_episodes=3)
         collector = Collector(config)
         for _ in range(3):
-            collector.handle(("episode", 0.0))
+            collector.end_episode(0.0)
         assert collector.stop_event.is_set()
 
-    def test_unknown_message_rejected(self):
-        collector = Collector(TrainerConfig())
-        with pytest.raises(ValueError):
-            collector.handle(("bogus",))
+    def test_concurrent_reports_apply_one_at_a_time(self):
+        # more reporting threads than cores, switching as often as the
+        # interpreter allows: without the lock, counts are lost and a row
+        # reads the episode deque while another thread appends to it
+        collector = Collector(TrainerConfig(max_frames=0, log_every_episodes=7))
+        workers, reports = 8, 1000
+        errors = []
+
+        def report():
+            try:
+                for _ in range(reports):
+                    collector.add_frames(1)
+                    collector.add_update(1.0, 1.0, 1.0)
+                    collector.end_episode(1.0)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=report) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert collector.frames == collector.episodes == workers * reports
+        assert len(collector.rows) == workers * reports // 7

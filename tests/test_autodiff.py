@@ -295,6 +295,14 @@ class TestBackward:
         with pytest.raises(ValueError):
             g2.relu(mid)
 
+    @pytest.mark.parametrize("op", OP_KINDS)
+    def test_every_op_rejects_foreign_operands(self, op):
+        arrays, build = gradcheck.CASE_BUILDERS[op](np.random.default_rng(0))
+        other = Graph()
+        foreign = [other.reshape(Tensor(a), a.shape) for a in arrays]
+        with pytest.raises(ValueError, match="different graph"):
+            build(Graph(), foreign)
+
 
 class TestTensorInvariants:
     def test_non_finite_rejected(self):

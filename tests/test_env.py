@@ -278,7 +278,7 @@ def _blank_state(render_hw=(48, 64)):
     return WorldState(
         grid_size=(12, 16), agent_pos=(0, 8), agent_heading="N",
         objects=objs, correct_ids=frozenset([0]), step_count=0,
-        rng_state=None, instruction=ins, render_hw=render_hw)
+        instruction=ins, render_hw=render_hw)
 
 
 class TestRender:
