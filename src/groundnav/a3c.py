@@ -2,12 +2,13 @@
 
 Workers roll out up to ``n_steps`` frames against a private environment and
 graph, backpropagate policy + value + entropy losses, then apply a globally
-clipped, adaptively scaled update to the shared parameters under a lock
-(per-tensor application is atomic; reads across tensors may interleave).
-Workers report frames, updates, episode ends and failures straight to the
-``Collector``, under its own lock; it keeps the run totals and the log and
-decides when the run stops. ``mode="sync"`` runs one worker inline and is
-bit-for-bit reproducible.
+clipped, adaptively scaled update to the shared parameters. Every read and
+write of the shared parameters holds the optimizer lock, so a worker never
+sees an update half applied. Workers claim each frame from the
+``Collector`` before they play it, and report updates, episode ends and
+failures to it, under its own lock; it keeps the run totals and the log and
+decides when the run stops, so a run trains exactly its frame budget.
+``mode="sync"`` runs one worker inline and is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ class SharedOptimizerState:
 def worker_update(shared: Params, opt: SharedOptimizerState,
                   grads: dict[str, np.ndarray], config: TrainerConfig) -> bool:
     """Clip to the global norm, then apply an RMSProp-style step to the
-    shared parameters. Returns False (and logs the incident) on non-finite
-    gradients."""
+    shared parameters. Returns False, and counts the update in
+    ``opt.skipped``, on non-finite gradients."""
     sq_sum = 0.0
     for grad in grads.values():
         sq_sum += float(np.dot(grad.ravel(), grad.ravel()))
@@ -194,11 +195,16 @@ class Collector:
         self.rows: list[dict] = []
         self.error: Optional[BaseException] = None
 
-    def add_frames(self, frames: int) -> None:
+    def take_frame(self) -> bool:
+        """Claim one frame of the budget; False once the run has stopped.
+        The frame that uses up a positive ``max_frames`` stops the run."""
         with self.lock:
-            self.frames += frames
+            if self.stop_event.is_set():
+                return False
+            self.frames += 1
             if 0 < self.config.max_frames <= self.frames:
                 self.stop_event.set()
+            return True
 
     def add_update(self, policy_loss: float, value_loss: float,
                    entropy: float) -> None:
@@ -259,7 +265,8 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
                  env: EnvSettings, seed: int, collector: Collector,
                  train_split) -> None:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + worker_id]))
-    local = shared.copy()
+    with opt.lock:
+        local = shared.copy()
     render_hw = (mconf.render_h, mconf.render_w)
 
     def new_episode():
@@ -278,8 +285,9 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         x_l = encode_instruction(g, local, mconf, instruction.tokens)
         att = AttentionState(h=Tensor(att_h), C=Tensor(att_c))
         rollout: list[RolloutStep] = []
-        frames = 0
         for _ in range(tconf.n_steps):
+            if not collector.take_frame():
+                break
             out = model_step(g, local, mconf, x_l, obs.image, att)
             p = out.probs.data
             action = int(rng.choice(len(p), p=p / p.sum()))
@@ -289,7 +297,6 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             rollout.append(RolloutStep(
                 action=action, log_prob=log_prob, value=out.value,
                 entropy=entropy, reward=reward, done=done))
-            frames += 1
             att = out.next_attention_state
             if done:
                 collector.end_episode(reward)
@@ -298,10 +305,9 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
                 att = initial_attention_state(mconf)
             else:
                 obs = gridnav.render(state)
-            if collector.stop_event.is_set():
-                break
 
-        collector.add_frames(frames)
+        if not rollout:
+            break
         bootstrap = 0.0
         if not rollout[-1].done:
             peek = model_step(g, local, mconf, x_l, obs.image, att)
@@ -309,6 +315,7 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         returns = compute_returns(rollout, bootstrap, tconf.gamma)
         policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         loss = total_loss(g, policy_loss, value_loss, entropy, tconf)
+        g.check_finite(loss)
         local.zero_grads()
         g.backward(loss)
         grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))

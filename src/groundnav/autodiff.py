@@ -18,27 +18,27 @@ cyclic garbage collector. Ownership is checked through the tape index
 instead: a graph owns an op output ``t`` when ``t.node`` is in range and
 ``nodes[t.node].output is t``. Ops reject operands that another graph owns,
 and ``backward`` rejects a loss this graph does not own.
+
+Finiteness: a leaf is checked once, when its ``Tensor`` is built, so a
+caller cannot put NaN or Inf on the tape. Op outputs are not checked as
+they are recorded; a caller checks the values it reads with
+``Graph.check_finite``, which on a failure names the first op on the tape
+that produced a non-finite output.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-
-def _assert_finite(arr: np.ndarray, ctx: str) -> None:
-    # a single reduction: any NaN/Inf entry poisons the sum
-    if not math.isfinite(float(arr.sum())):
-        raise FloatingPointError(f"non-finite values in {ctx}")
 
 
 class Tensor:
     """N-dimensional float64 array tracked by a Graph.
 
     Leaves have ``node == -1``; op outputs remember the tape index of the
-    node that produced them.
+    node that produced them. Building a tensor rejects non-finite data;
+    op outputs skip that check (see ``Graph.check_finite``).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node")
@@ -48,7 +48,8 @@ class Tensor:
             arr = data
         else:
             arr = np.asarray(data, dtype=np.float64)
-        _assert_finite(arr, "tensor data")
+        if not np.isfinite(arr).all():
+            raise FloatingPointError("non-finite values in tensor data")
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
@@ -124,11 +125,26 @@ class Graph:
             if t.node >= 0 and not self._owns(t):
                 raise ValueError("tensor belongs to a different graph")
             requires_grad = requires_grad or t.requires_grad
-        out = Tensor(out_data)  # validates finiteness of the forward output
+        # every op computes a float64 array from float64 operands; its
+        # finiteness is checked where it is read (check_finite)
+        out = Tensor.__new__(Tensor)
+        out.data = out_data
+        out.grad = None
         out.requires_grad = requires_grad
         out.node = len(self.nodes)
         self.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
         return out
+
+    def check_finite(self, t: Tensor) -> None:
+        """Return if ``t`` is finite; otherwise raise FloatingPointError
+        naming the first node on the tape whose output is non-finite."""
+        if np.isfinite(t.data).all():
+            return
+        for i, node in enumerate(self.nodes):
+            if not np.isfinite(node.output.data).all():
+                raise FloatingPointError(
+                    f"non-finite output of {node.op} at tape index {i}")
+        raise FloatingPointError("non-finite values in a leaf tensor")
 
     # -- elementwise ----------------------------------------------------------
 

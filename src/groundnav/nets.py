@@ -365,11 +365,16 @@ class StepOutput:
 
 def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
                image: Tensor, prev: Optional[AttentionState]) -> StepOutput:
-    """Full per-frame forward pass: image encoder, fusion, policy heads."""
+    """Full per-frame forward pass: image encoder, fusion, policy heads.
+
+    Raises FloatingPointError, naming the first op with a non-finite
+    output, if the action probabilities or the value are not finite."""
     features = encode_image(g, params, config, image)
     att, attended, state, new_prev = fuse(g, params, config, x_l, features,
                                           prev)
     probs, value = policy_forward(g, params, state)
+    g.check_finite(probs)
+    g.check_finite(value)
     return StepOutput(attention=att, attended=attended, state=state,
                       probs=probs, value=value, next_attention_state=new_prev)
 

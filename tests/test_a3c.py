@@ -334,6 +334,24 @@ class TestTrainLoop:
                 assert one.params[name].data.tobytes() == \
                     sync.params[name].data.tobytes(), (seed, name)
 
+    @pytest.mark.parametrize("max_frames", [401, 410])
+    def test_sync_trains_exact_frame_budget(self, tiny_model, max_frames):
+        # a budget that is not a multiple of n_steps ends mid-rollout; the
+        # partial rollout still trains, and no frame past the budget is played
+        _, mconf = tiny_model
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        result = train(TrainerConfig(max_frames=max_frames), mconf, env, seed=0)
+        assert result.frames == max_frames
+
+    def test_async_trains_exact_frame_budget(self, tiny_model):
+        # two workers claim frames from one budget; neither plays past it
+        _, mconf = tiny_model
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        for seed in range(10):
+            result = train(TrainerConfig(max_frames=400, mode="async",
+                                         workers=2), mconf, env, seed)
+            assert result.frames == 400, seed
+
     def test_async_worker_failure_raised(self, tiny_model, monkeypatch):
         # one worker fails mid-run; the run must stop and report it, not
         # finish its budget on the surviving worker
@@ -401,6 +419,38 @@ class TestTrainLoop:
             TrainerConfig(mode="turbo")
 
 
+def _overflowing_trunk(params: Params) -> Params:
+    # the largest entry of trunk_w is the largest double, so the trunk
+    # matvec overflows on any state entry above 1 in magnitude
+    w = params["trunk_w"].data
+    w /= np.abs(w).max()
+    w *= np.finfo(np.float64).max
+    return params
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteForward:
+    def test_train_names_the_op(self, tiny_model, monkeypatch):
+        _, mconf = tiny_model
+        init_params = nets.init_params
+        monkeypatch.setattr(
+            nets, "init_params",
+            lambda config, seed: _overflowing_trunk(init_params(config, seed)))
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite output of matvec at tape index"):
+            train(TrainerConfig(max_frames=40), mconf, env, seed=0)
+
+    def test_play_episode_names_the_op(self, tiny_model):
+        corpus, mconf = tiny_model
+        params = _overflowing_trunk(nets.init_params(mconf, 3))
+        for greedy in (True, False):
+            with pytest.raises(FloatingPointError,
+                               match=r"non-finite output of matvec at tape index"):
+                play_episode(params, mconf, corpus.train[0], 11, "easy",
+                             greedy=greedy, rng=np.random.default_rng(0))
+
+
 class TestPlayEpisode:
     def test_greedy_deterministic(self, tiny_model):
         corpus, mconf = tiny_model
@@ -441,7 +491,8 @@ class TestCollector:
         config = TrainerConfig(max_frames=10_000, log_every_episodes=10)
         collector = Collector(config)
         for i in range(25):
-            collector.add_frames(7)
+            for _ in range(7):
+                assert collector.take_frame()
             collector.add_update(0.1, 0.2, 1.0)
             collector.end_episode(1.0 if i % 2 else 0.0)
         assert len(collector.rows) == 2
@@ -452,8 +503,13 @@ class TestCollector:
     def test_frame_budget_stops(self):
         config = TrainerConfig(max_frames=100)
         collector = Collector(config)
-        collector.add_frames(100)
+        for _ in range(99):
+            assert collector.take_frame()
+        assert not collector.stop_event.is_set()
+        assert collector.take_frame()
         assert collector.stop_event.is_set()
+        assert not collector.take_frame()
+        assert collector.frames == 100
 
     def test_episode_budget_stops(self):
         config = TrainerConfig(max_frames=0, max_episodes=3)
@@ -473,7 +529,7 @@ class TestCollector:
         def report():
             try:
                 for _ in range(reports):
-                    collector.add_frames(1)
+                    assert collector.take_frame()
                     collector.add_update(1.0, 1.0, 1.0)
                     collector.end_episode(1.0)
             except Exception as exc:

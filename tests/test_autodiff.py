@@ -311,10 +311,25 @@ class TestTensorInvariants:
         with pytest.raises(FloatingPointError):
             Tensor([float("inf")])
 
-    def test_non_finite_forward_output_rejected(self):
+    def test_finite_data_with_overflowing_sum_accepted(self):
+        big = np.finfo(np.float64).max
+        assert Tensor([big, big]).data[0] == big
         g = Graph()
-        with pytest.raises(FloatingPointError):
-            g.log(Tensor([0.0]))  # log 0 -> -inf
+        g.check_finite(g.scale(Tensor([big, big]), 1.0))
+
+    def test_non_finite_forward_output_rejected(self):
+        # op outputs are not checked as they are recorded; check_finite on a
+        # value read downstream names the first op whose output is not finite
+        g = Graph()
+        a = g.scale(Tensor([0.0, 1.0]), 2.0)
+        b = g.tanh(a)
+        g.check_finite(b)
+        with np.errstate(divide="ignore"):
+            c = g.log(b)  # log 0 -> -inf at tape index 2
+        d = g.shift(c, 1.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite output of log at tape index 2"):
+            g.check_finite(d)
 
     def test_grad_shape_matches(self):
         g = Graph()
