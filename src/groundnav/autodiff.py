@@ -28,6 +28,7 @@ that produced a non-finite output.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -221,17 +222,25 @@ class Graph:
 
     # -- linear algebra ---------------------------------------------------------
 
-    def matvec(self, w: Tensor, v: Tensor) -> Tensor:
+    def matvec(self, w: Tensor, v: Tensor, b: Tensor) -> Tensor:
+        """Affine map ``w @ v + b``: w (rows, n), v (n,), b (rows,).
+
+        The bias is an operand rather than a separate ``add`` node, so each
+        affine layer records one node on the tape.
+        """
         if w.data.ndim != 2 or v.data.ndim != 1:
             raise ValueError("matvec expects a matrix and a vector")
         if w.data.shape[1] != v.data.shape[0]:
             raise ValueError(f"matvec: {w.data.shape} x {v.data.shape}")
+        if b.data.shape != (w.data.shape[0],):
+            raise ValueError(f"matvec: bias {b.data.shape} for {w.data.shape}")
         out = w.data @ v.data
+        out += b.data
 
         def bwd(g):
-            return (np.outer(g, v.data), w.data.T @ g)
+            return (g[:, None] * v.data, w.data.T @ g, g)
 
-        return self._record("matvec", (w, v), out, bwd)
+        return self._record("matvec", (w, v, b), out, bwd)
 
     # -- convolutions ----------------------------------------------------------
 
@@ -247,8 +256,13 @@ class Graph:
         ``kernels.reshape(c_out, c_in*k*k) @ cols`` and its result is the
         output in (c_out, ho, wo) order with no transpose. The backward
         reuses ``cols`` for the kernel gradient and folds the column
-        gradient back onto the image one (kernel row, kernel column) offset
-        at a time.
+        gradient back onto the image with one scatter-add: ``np.bincount``
+        over ``_fold_index``, the flat input position of every column
+        entry. Because that index runs in (channel, kernel row, kernel
+        column, i, j) order, bincount adds each input element's
+        contributions in ascending (kernel row, kernel column) order,
+        starting from 0.0, exactly as a loop of k*k strided slab adds over
+        a zeroed image would, so the result is bit-identical to that loop.
         """
         if x.data.ndim != 3 or kernels.data.ndim != 4:
             raise ValueError("conv2d expects (c,H,W) input and (o,c,k,k) kernels")
@@ -277,12 +291,10 @@ class Graph:
             gk = (g2 @ cols.T).reshape(c_out, c_in, k, k)
             gx = None
             if need_gx:
-                gcols = (k2.T @ g2).reshape(c_in, k, k, ho, wo)
-                gx = np.zeros(in_shape)
-                for a in range(k):
-                    for b in range(k):
-                        gx[:, a:a + ho * stride:stride,
-                           b:b + wo * stride:stride] += gcols[:, a, b]
+                gcols = k2.T @ g2
+                gx = np.bincount(_fold_index(in_shape, k, stride),
+                                 weights=gcols.reshape(-1),
+                                 minlength=c_in * h * w).reshape(in_shape)
             return (gx, gk)
 
         return self._record("conv2d", (x, kernels), out, bwd)
@@ -304,7 +316,7 @@ class Graph:
 
         def bwd(g):
             gflat = g.reshape(fh * fw)
-            gf = np.outer(attention.data, gflat).reshape(d, fh, fw)
+            gf = (attention.data[:, None] * gflat).reshape(d, fh, fw)
             ga = f2 @ gflat
             return (gf, ga)
 
@@ -471,3 +483,15 @@ def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:
         strides=(s0, s1, s2, s1 * stride, s2 * stride),
         writeable=False,
     )
+
+
+@lru_cache(maxsize=16)
+def _fold_index(shape: tuple[int, int, int], k: int, stride: int) -> np.ndarray:
+    """Read-only flat (c*k*k*ho*wo,) index: the position in a flattened
+    ``shape`` input of every entry of conv2d's column matrix."""
+    c, h, w = shape
+    index = np.ascontiguousarray(
+        _conv_patches(np.arange(c * h * w).reshape(c, h, w), k, stride)
+    ).reshape(-1)
+    index.flags.writeable = False
+    return index

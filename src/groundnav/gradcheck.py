@@ -124,12 +124,13 @@ def _case_matvec(rng):
     m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     a = rng.uniform(-1, 1, size=(m, n))
     v = rng.uniform(-1, 1, size=(n,))
+    b = rng.uniform(-1, 1, size=(m,))
     w = rng.standard_normal(m)
 
     def build(g, leaves):
-        return _weighted(g, g.matvec(leaves[0], leaves[1]), w)
+        return _weighted(g, g.matvec(leaves[0], leaves[1], leaves[2]), w)
 
-    return [a, v], build
+    return [a, v, b], build
 
 
 def _case_conv2d(rng):

@@ -282,10 +282,10 @@ def encode_instruction(g: Graph, params: Params, config: ModelConfig,
     for tid in token_ids(config, tokens):
         x = g.row(params["embed"], tid)
         hx = g.concat([h, x])
-        z = g.sigmoid(g.add(g.matvec(params["gru_wz"], hx), params["gru_bz"]))
-        r = g.sigmoid(g.add(g.matvec(params["gru_wr"], hx), params["gru_br"]))
+        z = g.sigmoid(g.matvec(params["gru_wz"], hx, params["gru_bz"]))
+        r = g.sigmoid(g.matvec(params["gru_wr"], hx, params["gru_br"]))
         rhx = g.concat([g.mul(r, h), x])
-        hbar = g.tanh(g.add(g.matvec(params["gru_wh"], rhx), params["gru_bh"]))
+        hbar = g.tanh(g.matvec(params["gru_wh"], rhx, params["gru_bh"]))
         one_minus_z = g.shift(g.scale(z, -1.0), 1.0)
         h = g.add(g.mul(one_minus_z, h), g.mul(z, hbar))
     return h
@@ -296,11 +296,11 @@ def attention_step(g: Graph, params: Params, config: ModelConfig,
     """One LSTM update; the new cell state is the next attention vector."""
     hx = g.concat([prev.h, x_t])
     f_in = hx if config.forget_gate_sees_input else prev.h
-    f = g.sigmoid(g.add(g.matvec(params["lstm_wf"], f_in), params["lstm_bf"]))
-    i = g.sigmoid(g.add(g.matvec(params["lstm_wi"], hx), params["lstm_bi"]))
-    cbar = g.tanh(g.add(g.matvec(params["lstm_wc"], hx), params["lstm_bc"]))
+    f = g.sigmoid(g.matvec(params["lstm_wf"], f_in, params["lstm_bf"]))
+    i = g.sigmoid(g.matvec(params["lstm_wi"], hx, params["lstm_bi"]))
+    cbar = g.tanh(g.matvec(params["lstm_wc"], hx, params["lstm_bc"]))
     c = g.add(g.mul(f, prev.C), g.mul(i, cbar))
-    o = g.sigmoid(g.add(g.matvec(params["lstm_wo"], hx), params["lstm_bo"]))
+    o = g.sigmoid(g.matvec(params["lstm_wo"], hx, params["lstm_bo"]))
     h = g.mul(o, g.tanh(c))
     return AttentionState(h=h, C=c)
 
@@ -318,7 +318,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     """
     if config.fusion == "concat":
         inp = g.concat([g.flatten(features), x_l])
-        state = g.add(g.matvec(params["cat_w"], inp), params["cat_b"])
+        state = g.matvec(params["cat_w"], inp, params["cat_b"])
         return None, None, state, prev
 
     source = config.attention_source
@@ -330,7 +330,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     else:
         inp = x_l if source == "static_instruction" \
             else g.concat([g.flatten(features), x_l])
-        att = g.sigmoid(g.add(g.matvec(params["att_w"], inp), params["att_b"]))
+        att = g.sigmoid(g.matvec(params["att_w"], inp, params["att_b"]))
 
     if config.application == "conv1d":
         maps = g.conv1d_channels(features, att)
@@ -338,7 +338,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     else:
         maps = g.mul_channels(features, att)
         flat = g.flatten(maps)
-        state = g.add(g.matvec(params["had_w"], flat), params["had_b"])
+        state = g.matvec(params["had_w"], flat, params["had_b"])
 
     if recurrent:
         prev = attention_step(g, params, config, prev, g.concat([state, x_l]))
@@ -347,9 +347,9 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
 
 def policy_forward(g: Graph, params: Params, state: Tensor) -> tuple[Tensor, Tensor]:
     """(action probabilities, value) from the shared trunk."""
-    trunk = g.relu(g.add(g.matvec(params["trunk_w"], state), params["trunk_b"]))
-    logits = g.add(g.matvec(params["policy_w"], trunk), params["policy_b"])
-    value = g.pick(g.add(g.matvec(params["value_w"], trunk), params["value_b"]), 0)
+    trunk = g.relu(g.matvec(params["trunk_w"], state, params["trunk_b"]))
+    logits = g.matvec(params["policy_w"], trunk, params["policy_b"])
+    value = g.pick(g.matvec(params["value_w"], trunk, params["value_b"]), 0)
     return g.softmax(logits), value
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from groundnav import gradcheck
+from groundnav import autodiff, gradcheck
 from groundnav.autodiff import OP_KINDS, Graph, Tensor
 
 
@@ -48,6 +48,34 @@ def conv2d_loop_adjoint(x, kernels, stride, g):
                             gk[o, c, a, b] += \
                                 g[o, i, j] * x[c, i * stride + a, j * stride + b]
     return gx, gk
+
+
+def slab_fold(gcols, in_shape, k, stride):
+    """Fold conv2d column gradients (c_in*k*k, ho*wo) onto the input one
+    (kernel row, kernel column) slab at a time: the loop conv2d's
+    scatter-add must match bit for bit."""
+    c_in, h, w = in_shape
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    gcols = gcols.reshape(c_in, k, k, ho, wo)
+    gx = np.zeros(in_shape)
+    for a in range(k):
+        for b in range(k):
+            gx[:, a:a + ho * stride:stride,
+               b:b + wo * stride:stride] += gcols[:, a, b]
+    return gx
+
+
+def conv2d_input_grad(x, kern, stride, weights):
+    """x.grad of sum(weights * conv2d(x, kern)) next to the slab fold of
+    the same column gradient."""
+    x = Tensor(x, requires_grad=True)
+    g = Graph()
+    out = g.conv2d(x, Tensor(kern), stride=stride)
+    g.backward(g.sum_all(g.mul(out, Tensor(weights))))
+    c_out, _, k, _ = kern.shape
+    gcols = kern.reshape(c_out, -1).T @ weights.reshape(c_out, -1)
+    return x.grad, slab_fold(gcols, x.shape, k, stride)
 
 
 def conv1d_channels_loop(features, attention):
@@ -101,6 +129,25 @@ class TestElementwise:
         with pytest.raises(ValueError):
             g.add(Tensor([1.0]), Tensor([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bias_shape", [(2,), (4,), (3, 1), ()])
+    def test_matvec_bias_shape_rejected(self, bias_shape):
+        g = Graph()
+        with pytest.raises(ValueError, match="bias"):
+            g.matvec(Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
+                     Tensor(np.zeros(bias_shape)))
+
+    def test_matvec_adds_bias(self):
+        g = Graph()
+        w = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        v = Tensor([1.0, -1.0], requires_grad=True)
+        b = Tensor([0.5, -0.5], requires_grad=True)
+        out = g.matvec(w, v, b)
+        np.testing.assert_array_equal(out.data, [-0.5, -1.5])
+        g.backward(g.sum_all(g.mul(out, Tensor([2.0, 3.0]))))
+        np.testing.assert_array_equal(w.grad, [[2.0, -2.0], [3.0, -3.0]])
+        np.testing.assert_array_equal(v.grad, [11.0, 16.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 3.0])
+
 
 class TestConv2d:
     def test_all_ones(self):
@@ -135,6 +182,24 @@ class TestConv2d:
         gx, gk = conv2d_loop_adjoint(x.data, kern.data, stride, weights)
         np.testing.assert_allclose(x.grad, gx, atol=1e-12)
         np.testing.assert_allclose(kern.grad, gk, atol=1e-12)
+        folded, reference = conv2d_input_grad(x.data, kern.data, stride,
+                                              weights)
+        np.testing.assert_array_equal(folded, reference)
+
+    def test_paper_fold_matches_slab_loop_bitwise(self):
+        # the paper's conv2: k4s2 over the 32x38x74 maps of conv1
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, (32, 38, 74))
+        kern = rng.uniform(-1, 1, (64, 32, 4, 4))
+        weights = rng.standard_normal((64, 18, 36))
+        folded, reference = conv2d_input_grad(x, kern, 2, weights)
+        np.testing.assert_array_equal(folded, reference)
+
+    def test_fold_index_is_read_only(self):
+        index = autodiff._fold_index((2, 5, 6), 3, 2)
+        assert index is autodiff._fold_index((2, 5, 6), 3, 2)
+        with pytest.raises(ValueError):
+            index[0] = 1
 
     def test_kernel_larger_than_input(self):
         g = Graph()
@@ -225,12 +290,14 @@ class TestBackward:
         w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         x = Tensor(rng.uniform(-1, 1, 4))
 
+        b = Tensor(np.zeros(3))
+
         def loss_value():
             g = Graph()
-            return g.sum_all(g.sigmoid(g.matvec(w, x))).item()
+            return g.sum_all(g.sigmoid(g.matvec(w, x, b))).item()
 
         g = Graph()
-        g.backward(g.sum_all(g.sigmoid(g.matvec(w, x))))
+        g.backward(g.sum_all(g.sigmoid(g.matvec(w, x, b))))
         step = 1e-5
         flat = w.data.reshape(-1)
         agrad = w.grad.reshape(-1)

@@ -735,3 +735,26 @@ class TestModelStep:
         out = model_step(g, params, config, x_l, obs.image, None)
         assert out.attention is None
         assert out.state.shape == (config.state_len,)
+
+
+class TestTapeBudget:
+    """Nodes one forward records at ModelConfig defaults. Each affine layer
+    is a single matvec node with its bias inside, so a new node here is a
+    per-frame interpreter cost in every desk-scale run."""
+
+    def test_model_step_nodes(self, vocab, corpus):
+        config = ModelConfig(vocab=vocab)
+        params = init_params(config, 16)
+        _, obs = gridnav.reset(3, "easy", corpus.train[3])
+        g = Graph()
+        model_step(g, params, config, Tensor(np.zeros(config.l)), obs.image,
+                   initial_attention_state(config))
+        assert len(g.nodes) == 32
+
+    def test_encode_instruction_nodes(self, vocab):
+        config = ModelConfig(vocab=vocab)
+        params = init_params(config, 17)
+        tokens = ("go", "to", "the", "tall", "green", "pillar")
+        g = Graph()
+        encode_instruction(g, params, config, tokens)
+        assert len(g.nodes) == 90
