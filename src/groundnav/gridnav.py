@@ -4,7 +4,10 @@ One episode: an instruction like "go to the tall green pillar" plus a spawn
 of one correct and four incorrect objects. The agent turns in 90-degree
 increments or moves one cell forward, sees a first-person billboard render
 each step, and the episode ends on object contact (entering an object's cell
-or a 4-adjacent cell), or after 30 steps.
+or a 4-adjacent cell), or after 30 steps. Contact pays ``REWARD_CORRECT``
+only when the correct object is the single nearest one touched; a cell
+equally near two objects (the gap between neighbouring slots) counts as a
+wrong contact.
 
 Everything is a pure function of (seed, difficulty, instruction, actions);
 stepping uses no randomness at all.
@@ -341,8 +344,10 @@ def _frustum_cells(grid_size, agent_pos, heading, min_forward=2):
 
 
 def _pick_cells(rng, candidates, count, min_separation=2):
-    """Greedy placement from a shuffled candidate list; Chebyshev spacing
-    keeps contact cells unambiguous."""
+    """Greedy placement from a shuffled candidate list. Chebyshev spacing
+    keeps every object out of the others' contact cells; two objects two
+    cells apart in a line still share the contact cell between them,
+    which ``_contact_object`` reports as a tie."""
     order = rng.permutation(len(candidates))
     chosen: list[tuple[int, int]] = []
     for idx in order:
@@ -406,15 +411,24 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
     return state, render(state)
 
 
-def _contact_object(state: WorldState, pos) -> Optional[int]:
-    """Index of the object whose cell ``pos`` is in or 4-adjacent to,
-    nearest-first (then lowest index)."""
-    best = None
+def _contact_object(state: WorldState, pos) -> tuple[int, ...]:
+    """Indices of the nearest objects whose cell ``pos`` is in or
+    4-adjacent to; empty when ``pos`` touches nothing.
+
+    More than one index is a tie: ``pos`` is the gap cell between two
+    objects. A tie ends the episode as a wrong contact, so stepping between
+    the correct object and a distractor earns nothing whatever their spawn
+    order.
+    """
+    hits: tuple[int, ...] = ()
+    best = 1  # contact distance: 0 inside the cell, 1 beside it
     for i, obj in enumerate(state.objects):
         d = abs(pos[0] - obj.position[0]) + abs(pos[1] - obj.position[1])
-        if d <= 1 and (best is None or d < best[0]):
-            best = (d, i)
-    return None if best is None else best[1]
+        if d < best:
+            best, hits = d, (i,)
+        elif d == best:
+            hits += (i,)
+    return hits
 
 
 def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
@@ -437,9 +451,10 @@ def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
             pos = cand
 
     steps = state.step_count + 1
-    hit = _contact_object(state, pos)
-    if hit is not None:
-        reward = REWARD_CORRECT if hit in state.correct_ids else REWARD_INCORRECT
+    hits = _contact_object(state, pos)
+    if hits:
+        correct = len(hits) == 1 and hits[0] in state.correct_ids
+        reward = REWARD_CORRECT if correct else REWARD_INCORRECT
         done = True
     elif steps >= MAX_STEPS:
         reward, done = REWARD_TIMEOUT, True

@@ -219,6 +219,36 @@ class TestStep:
         state, reward, done = advance(state, "move_forward")
         assert done and reward == -0.2
 
+    def test_tied_contact_is_wrong(self, corpus):
+        # the gap between the correct object and a neighbour touches both
+        ins = corpus.train[0]
+        state, _ = reset(0, "easy", ins)
+        (cid,) = state.correct_ids
+        row, col = state.objects[cid].position
+        gap = (row, col + 1 if col < EASY_OBJECT_COLS[-1] else col - 1)
+        state = dataclasses.replace(state, agent_pos=(row + 1, gap[1]),
+                                    agent_heading="N")
+        state, reward, done = advance(state, "move_forward")
+        assert state.agent_pos == gap
+        assert done and reward == gridnav.REWARD_INCORRECT
+
+    def test_instruction_blind_gap_script_never_rewarded(self, corpus):
+        # every episode of this script ends in the gap at (5, 5), beside
+        # the objects in slots (5, 4) and (5, 6)
+        script = ["turn_left"] + ["move_forward"] * 3 + ["turn_right"]
+        correct = 0
+        for seed in range(400):
+            state, _ = reset(seed, "easy", corpus.train[seed % 55])
+            t = 0
+            done = False
+            while not done:
+                action = script[t] if t < len(script) else "move_forward"
+                state, reward, done = advance(state, action)
+                t += 1
+            assert state.agent_pos == (5, 5)
+            correct += reward == gridnav.REWARD_CORRECT
+        assert correct == 0
+
     def test_timeout_after_30_steps(self, corpus):
         state, _ = reset(0, "easy", corpus.train[0])
         # spinning never contacts anything
