@@ -223,11 +223,8 @@ class Graph:
     # -- linear algebra ---------------------------------------------------------
 
     def matvec(self, w: Tensor, v: Tensor, b: Tensor) -> Tensor:
-        """Affine map ``w @ v + b``: w (rows, n), v (n,), b (rows,).
-
-        The bias is an operand rather than a separate ``add`` node, so each
-        affine layer records one node on the tape.
-        """
+        """Affine map ``w @ v + b`` as one tape node: w (rows, n), v (n,),
+        b (rows,)."""
         if w.data.ndim != 2 or v.data.ndim != 1:
             raise ValueError("matvec expects a matrix and a vector")
         if w.data.shape[1] != v.data.shape[0]:
@@ -256,13 +253,12 @@ class Graph:
         ``kernels.reshape(c_out, c_in*k*k) @ cols`` and its result is the
         output in (c_out, ho, wo) order with no transpose. The backward
         reuses ``cols`` for the kernel gradient and folds the column
-        gradient back onto the image with one scatter-add: ``np.bincount``
-        over ``_fold_index``, the flat input position of every column
-        entry. Because that index runs in (channel, kernel row, kernel
-        column, i, j) order, bincount adds each input element's
-        contributions in ascending (kernel row, kernel column) order,
-        starting from 0.0, exactly as a loop of k*k strided slab adds over
-        a zeroed image would, so the result is bit-identical to that loop.
+        gradient back onto the image with one ``np.bincount`` over
+        ``_fold_index``, the flat input position of every column entry.
+        That index runs in the columns' row order, so bincount adds each
+        input element's contributions from 0.0 in ascending (kernel row,
+        kernel column) order, as k*k strided slab adds onto a zeroed image
+        would: the result is bit-identical to that loop.
         """
         if x.data.ndim != 3 or kernels.data.ndim != 4:
             raise ValueError("conv2d expects (c,H,W) input and (o,c,k,k) kernels")

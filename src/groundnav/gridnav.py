@@ -345,9 +345,8 @@ def _frustum_cells(grid_size, agent_pos, heading, min_forward=2):
 
 def _pick_cells(rng, candidates, count, min_separation=2):
     """Greedy placement from a shuffled candidate list. Chebyshev spacing
-    keeps every object out of the others' contact cells; two objects two
-    cells apart in a line still share the contact cell between them,
-    which ``_contact_object`` reports as a tie."""
+    keeps each object out of the others' contact cells, but two objects
+    two cells apart in a line share the contact cell between them."""
     order = rng.permutation(len(candidates))
     chosen: list[tuple[int, int]] = []
     for idx in order:
@@ -413,13 +412,9 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
 
 def _contact_object(state: WorldState, pos) -> tuple[int, ...]:
     """Indices of the nearest objects whose cell ``pos`` is in or
-    4-adjacent to; empty when ``pos`` touches nothing.
-
-    More than one index is a tie: ``pos`` is the gap cell between two
-    objects. A tie ends the episode as a wrong contact, so stepping between
-    the correct object and a distractor earns nothing whatever their spawn
-    order.
-    """
+    4-adjacent to; empty when ``pos`` touches nothing. Two indices mean
+    ``pos`` is the gap between two objects, a tie that ``advance`` counts
+    as a wrong contact, whichever of them is correct."""
     hits: tuple[int, ...] = ()
     best = 1  # contact distance: 0 inside the cell, 1 beside it
     for i, obj in enumerate(state.objects):
