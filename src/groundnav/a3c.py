@@ -277,13 +277,13 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         return ins, state, obs
 
     instruction, state, obs = new_episode()
-    att_h = np.zeros(mconf.d)
-    att_c = np.ones(mconf.d)
+    att = initial_attention_state(mconf)
 
     while not collector.stop_event.is_set():
         g = Graph()
         x_l = encode_instruction(g, local, mconf, instruction.tokens)
-        att = AttentionState(h=Tensor(att_h), C=Tensor(att_c))
+        # detach the recurrent state at the segment boundary
+        att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
         rollout: list[RolloutStep] = []
         for _ in range(tconf.n_steps):
             if not collector.take_frame():
@@ -325,10 +325,6 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             local.load_values(shared)
         collector.add_update(policy_loss.item(), value_loss.item(),
                              entropy.item())
-
-        # detach the recurrent state at the segment boundary
-        att_h = att.h.data.copy()
-        att_c = att.C.data.copy()
 
 
 @dataclass

@@ -369,10 +369,8 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
     return index
 
 
-def cmd_gradcheck(seed: int, cases_per_op: int = 100,
-                  corrupt_op: Optional[str] = None) -> bool:
-    result = gradcheck.run_suite(seed=seed, cases_per_op=cases_per_op,
-                                 corrupt_op=corrupt_op)
+def cmd_gradcheck(seed: int, cases_per_op: int = 100) -> bool:
+    result = gradcheck.run_suite(seed=seed, cases_per_op=cases_per_op)
     ok = True
     for op, err in result.op_errors.items():
         passed = err < gradcheck.OP_TOL

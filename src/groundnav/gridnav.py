@@ -118,7 +118,6 @@ class ObjectSpec:
 
 @dataclass(frozen=True)
 class WorldState:
-    grid_size: tuple[int, int]
     agent_pos: tuple[int, int]
     agent_heading: str
     objects: tuple[ObjectSpec, ...]
@@ -127,14 +126,11 @@ class WorldState:
     instruction: Instruction
     render_hw: tuple[int, int]
     done: bool = False
-    last_reward: float = 0.0
 
 
 @dataclass(frozen=True)
 class Observation:
     image: Tensor  # (3, H_px, W_px), values in [0, 1]
-    done: bool
-    reward: float
 
 
 @dataclass(frozen=True)
@@ -337,8 +333,8 @@ def _sample_specs(rng, predicate: Predicate) -> list[tuple[str, str, str]]:
     return specs
 
 
-def _frustum_cells(grid_size, agent_pos, heading, min_forward=2):
-    rows, cols = grid_size
+def _frustum_cells(agent_pos, heading, min_forward=2):
+    rows, cols = GRID_SIZE
     return [(i, j) for i in range(rows) for j in range(cols)
             if _view(agent_pos, heading, (i, j), min_forward) is not None]
 
@@ -360,8 +356,7 @@ def _pick_cells(rng, candidates, count, min_separation=2):
 
 
 def reset(seed: int, difficulty: str, instruction: Instruction,
-          render_hw: tuple[int, int] = DEFAULT_RENDER_HW,
-          grid_size: tuple[int, int] = GRID_SIZE) -> tuple[WorldState, Observation]:
+          render_hw: tuple[int, int] = DEFAULT_RENDER_HW) -> tuple[WorldState, Observation]:
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
     rng = _episode_rng(seed, difficulty, instruction)
@@ -374,15 +369,15 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
         cells = [slots[k] for k in order]
     elif difficulty == "medium":
         agent_pos, heading = EASY_AGENT_POS, EASY_AGENT_HEADING
-        candidates = _frustum_cells(grid_size, agent_pos, heading)
+        candidates = _frustum_cells(agent_pos, heading)
         cells = _pick_cells(rng, candidates, 5)
     else:
-        agent_pos = (int(rng.integers(grid_size[0])),
-                     int(rng.integers(grid_size[1])))
+        agent_pos = (int(rng.integers(GRID_SIZE[0])),
+                     int(rng.integers(GRID_SIZE[1])))
         heading = HEADINGS[rng.integers(4)]
         candidates = [
             (i, j)
-            for i in range(grid_size[0]) for j in range(grid_size[1])
+            for i in range(GRID_SIZE[0]) for j in range(GRID_SIZE[1])
             if max(abs(i - agent_pos[0]), abs(j - agent_pos[1])) >= 2
         ]
         cells = _pick_cells(rng, candidates, 5)
@@ -398,7 +393,6 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
             f"{instruction.text!r}")
 
     state = WorldState(
-        grid_size=grid_size,
         agent_pos=agent_pos,
         agent_heading=heading,
         objects=objects,
@@ -442,7 +436,7 @@ def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
     else:
         dr, dc = _FORWARD[heading]
         cand = (pos[0] + dr, pos[1] + dc)
-        if 0 <= cand[0] < state.grid_size[0] and 0 <= cand[1] < state.grid_size[1]:
+        if 0 <= cand[0] < GRID_SIZE[0] and 0 <= cand[1] < GRID_SIZE[1]:
             pos = cand
 
     steps = state.step_count + 1
@@ -458,7 +452,7 @@ def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
 
     new_state = dataclasses.replace(
         state, agent_pos=pos, agent_heading=heading, step_count=steps,
-        done=done, last_reward=reward)
+        done=done)
     return new_state, reward, done
 
 
@@ -529,8 +523,7 @@ def render(state: WorldState) -> Observation:
         for ch in range(3):
             plane = img[ch, t0:b0, l0:r0]
             plane[...] = np.where(mask, rgb[ch], rgb[ch] * _DIM)
-    return Observation(image=Tensor(img), done=state.done,
-                       reward=state.last_reward)
+    return Observation(image=Tensor(img))
 
 
 # --------------------------------------------------------------------------

@@ -127,9 +127,6 @@ class Params:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -138,9 +135,6 @@ class Params:
 
     def tensors(self) -> list[Tensor]:
         return list(self._tensors.values())
-
-    def total_count(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
 
     def zero_grads(self) -> None:
         for t in self._tensors.values():
@@ -383,17 +377,13 @@ def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
 # Parameter counting
 # --------------------------------------------------------------------------
 
-def fusion_pipeline_count(config: ModelConfig) -> int:
-    """Trainable parameters added by the attention-application stage."""
-    shapes = param_shapes(config)
-    return sum(int(np.prod(shapes[n])) for n in ("had_w", "had_b") if n in shapes)
-
-
 def count_report(config: ModelConfig) -> dict[str, int]:
-    shapes = param_shapes(config)
+    """Trainable parameters in total and in the attention-application
+    stage (``fusion_stage``)."""
+    sizes = {n: int(np.prod(s)) for n, s in param_shapes(config).items()}
     return {
-        "total": sum(int(np.prod(s)) for s in shapes.values()),
-        "fusion_stage": fusion_pipeline_count(config),
+        "total": sum(sizes.values()),
+        "fusion_stage": sum(sizes.get(n, 0) for n in ("had_w", "had_b")),
     }
 
 

@@ -351,7 +351,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("op", OP_KINDS)
     def test_every_op_rejects_foreign_operands(self, op):
-        arrays, build = gradcheck.CASE_BUILDERS[op](np.random.default_rng(0))
+        arrays, build = gradcheck.case(op, np.random.default_rng(0))
         other = Graph()
         foreign = [other.reshape(Tensor(a), a.shape) for a in arrays]
         with pytest.raises(ValueError, match="different graph"):
@@ -426,6 +426,8 @@ class TestGradCheckProperty:
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []
 
-    def test_corruption_is_detected(self):
-        err = gradcheck.check_op("mul", seed=123, cases=5, corrupt=True)
-        assert err > gradcheck.OP_TOL
+    @pytest.mark.parametrize("op", OP_KINDS)
+    def test_scaled_backward_detected(self, op, scale_backward):
+        # a backward that is 1% off in every gradient must fail the check
+        scale_backward(op)
+        assert gradcheck.check_op(op, seed=123, cases=15) > gradcheck.OP_TOL

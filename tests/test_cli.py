@@ -351,8 +351,9 @@ class TestGradcheckCommand:
             assert out.count(f"{op:18s}") == 1
         assert "end_to_end" in out
 
-    def test_corrupted_mul_reported_failing(self, capsys):
-        ok = cmd_gradcheck(seed=0, cases_per_op=5, corrupt_op="mul")
+    def test_corrupted_mul_reported_failing(self, capsys, scale_backward):
+        scale_backward("mul")
+        ok = cmd_gradcheck(seed=0, cases_per_op=5)
         out = capsys.readouterr().out
         assert not ok
         mul_line = [l for l in out.splitlines() if l.startswith("mul ")]

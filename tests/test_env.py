@@ -122,7 +122,7 @@ class TestReset:
     def test_exactly_five_objects_one_correct(self, corpus):
         for seed in range(10):
             for difficulty in ("easy", "medium", "hard"):
-                state, _ = reset(seed, "hard", corpus.train[seed])
+                state, _ = reset(seed, difficulty, corpus.train[seed])
                 assert len(state.objects) == 5
                 assert len(state.correct_ids) == 1
                 positions = {o.position for o in state.objects}
@@ -165,9 +165,8 @@ class TestReset:
             reset(0, "extreme", corpus.train[0])
 
     def test_reset_reward_and_done(self, corpus):
-        _, obs = reset(0, "easy", corpus.train[0])
-        assert obs.reward == 0.0
-        assert obs.done is False
+        state, _ = reset(0, "easy", corpus.train[0])
+        assert state.done is False
 
 
 class TestStep:
@@ -289,7 +288,7 @@ class TestStep:
         state, _ = reset(0, "easy", corpus.train[0])
         nxt, obs = step(state, "move_forward")
         assert obs.image.shape == (3, 48, 64)
-        assert obs.reward == 0.0
+        assert (obs.image.data == render(nxt).image.data).all()
 
     def test_trace_record_fields(self, corpus):
         state, _ = reset(0, "easy", corpus.train[0])
@@ -306,7 +305,7 @@ def _blank_state(render_hw=(48, 64)):
         for c in (0, 2, 4, 6, 8))
     ins = instruction_from_text("go to the red pillar")
     return WorldState(
-        grid_size=(12, 16), agent_pos=(0, 8), agent_heading="N",
+        agent_pos=(0, 8), agent_heading="N",
         objects=objs, correct_ids=frozenset([0]), step_count=0,
         instruction=ins, render_hw=render_hw)
 
@@ -409,10 +408,10 @@ class TestDeterminism:
             images = [obs.image.data.tobytes()]
             rewards = []
             for a in actions:
-                state, obs = step(state, a)
-                images.append(obs.image.data.tobytes())
-                rewards.append(obs.reward)
-                if obs.done:
+                state, reward, done = advance(state, a)
+                images.append(render(state).image.data.tobytes())
+                rewards.append(reward)
+                if done:
                     break
             return images, rewards
 
