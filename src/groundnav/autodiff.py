@@ -95,6 +95,7 @@ OP_KINDS = (
     "scale",
     "shift",
     "matvec",
+    "lstm_cell",
     "conv2d",
     "conv1d_channels",
     "bias_add_channels",
@@ -238,6 +239,77 @@ class Graph:
             return (g[:, None] * v.data, w.data.T @ g, g)
 
         return self._record("matvec", (w, v, b), out, bwd)
+
+    # -- recurrent cell --------------------------------------------------------
+
+    def lstm_cell(self, hx: Tensor, c_prev: Tensor, wf: Tensor, bf: Tensor,
+                  wi: Tensor, bi: Tensor, wc: Tensor, bc: Tensor,
+                  wo: Tensor, bo: Tensor) -> Tensor:
+        """One LSTM step as one tape node. Its output is (2, d): row 0 is
+        the new h and row 1 the new cell state c.
+
+        hx (n,) is the gate input, the previous h first; c_prev is (d,).
+        The input, candidate and output gates read all of hx through
+        (d, n) weights. The forget gate reads ``hx[:nf]`` through its
+        (d, nf) weight, so nf = d wires it to the previous h alone and
+        nf = n to the whole input::
+
+            f = sigmoid(wf @ hx[:nf] + bf)    i = sigmoid(wi @ hx + bi)
+            cbar = tanh(wc @ hx + bc)          o = sigmoid(wo @ hx + bo)
+            c = f * c_prev + i * cbar          h = o * tanh(c)
+
+        Every value and every product of the backward is formed as the
+        matvec, sigmoid, tanh, mul and add ops would form it, and the hx
+        gradient is summed in their reverse-sweep order, so the node is
+        bit-identical to that 14-node composition.
+        """
+        if hx.data.ndim != 1 or c_prev.data.ndim != 1 or wf.data.ndim != 2:
+            raise ValueError("lstm_cell expects 1-D input and cell state and "
+                             "a 2-D forget weight")
+        d, n, nf = c_prev.data.size, hx.data.size, wf.data.shape[1]
+        if (wf.data.shape[0] != d or not 0 < nf <= n
+                or (wi.data.shape, wc.data.shape, wo.data.shape) != ((d, n),) * 3
+                or (bf.data.shape, bi.data.shape, bc.data.shape,
+                    bo.data.shape) != ((d,),) * 4):
+            raise ValueError(
+                f"lstm_cell: input {hx.data.shape}, cell {c_prev.data.shape}, "
+                f"forget weight {wf.data.shape}, gate weight {wi.data.shape}")
+        v = hx.data
+        vf = v[:nf]
+        zf = wf.data @ vf
+        zf += bf.data
+        zi = wi.data @ v
+        zi += bi.data
+        zc = wc.data @ v
+        zc += bc.data
+        zo = wo.data @ v
+        zo += bo.data
+        with np.errstate(over="ignore"):  # as in sigmoid
+            f = 1.0 / (1.0 + np.exp(-zf))
+            i = 1.0 / (1.0 + np.exp(-zi))
+            o = 1.0 / (1.0 + np.exp(-zo))
+        cbar = np.tanh(zc)
+        out = np.empty((2, d))
+        h, c = out
+        np.multiply(f, c_prev.data, out=c)
+        c += i * cbar
+        tc = np.tanh(c)
+        np.multiply(o, tc, out=h)
+
+        def bwd(g):
+            gh = g[0]
+            gc = g[1] + gh * o * (1.0 - tc * tc)
+            dzo = gh * tc * o * (1.0 - o)
+            dzc = gc * i * (1.0 - cbar * cbar)
+            dzi = gc * cbar * i * (1.0 - i)
+            dzf = gc * c_prev.data * f * (1.0 - f)
+            ghx = wo.data.T @ dzo + wc.data.T @ dzc + wi.data.T @ dzi
+            ghx[:nf] += wf.data.T @ dzf
+            return (ghx, gc * f, dzf[:, None] * vf, dzf, dzi[:, None] * v, dzi,
+                    dzc[:, None] * v, dzc, dzo[:, None] * v, dzo)
+
+        return self._record("lstm_cell", (hx, c_prev, wf, bf, wi, bi, wc, bc,
+                                          wo, bo), out, bwd)
 
     # -- convolutions ----------------------------------------------------------
 
@@ -468,17 +540,19 @@ class Graph:
 
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Read-only (c, k, k, ho, wo) view: [c, a, b, i, j] is
-    x[c, i * stride + a, j * stride + b]."""
+    x[c, i * stride + a, j * stride + b].
+
+    Built with the ``np.ndarray`` constructor over the contiguous input's
+    buffer, which costs less per call than ``as_strided``."""
     c, h, w = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
+    x = np.ascontiguousarray(x)
     s0, s1, s2 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, k, k, ho, wo),
-        strides=(s0, s1, s2, s1 * stride, s2 * stride),
-        writeable=False,
-    )
+    view = np.ndarray((c, k, k, ho, wo), x.dtype, buffer=x,
+                      strides=(s0, s1, s2, s1 * stride, s2 * stride))
+    view.flags.writeable = False
+    return view
 
 
 @lru_cache(maxsize=16)

@@ -115,6 +115,18 @@ def _draw_matvec(rng):
     return arrays, lambda g, t: g.matvec(*t)
 
 
+def _draw_lstm_cell(rng):
+    """Gate input of d + n entries, the forget gate reading the first d
+    (the previous h) or all of them."""
+    d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    nf = d if rng.random() < 0.5 else d + n
+    arrays = [rng.uniform(-1, 1, size=(d + n,)), rng.uniform(-1, 1, size=(d,))]
+    for cols in (nf, d + n, d + n, d + n):
+        arrays += [rng.uniform(-1, 1, size=(d, cols)),
+                   rng.uniform(-1, 1, size=(d,))]
+    return arrays, lambda g, t: g.lstm_cell(*t)
+
+
 def _draw_conv2d(rng):
     c_in = int(rng.integers(1, 3))
     c_out = int(rng.integers(1, 3))
@@ -168,6 +180,7 @@ DRAWS: dict[str, Callable] = {
     "scale": _draw_scale,
     "shift": _draw_shift,
     "matvec": _draw_matvec,
+    "lstm_cell": _draw_lstm_cell,
     "conv2d": _draw_conv2d,
     "conv1d_channels": _channelwise("conv1d_channels", max_channels=5),
     "bias_add_channels": _channelwise("bias_add_channels"),

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -469,24 +470,31 @@ def _iround(v: float) -> int:
     return int(math.floor(v + 0.5))
 
 
+@lru_cache(maxsize=1024)
 def _pattern_mask(shape: str, height: int, width: int) -> np.ndarray:
-    """Bright-pixel mask, symmetric about the rectangle's vertical center."""
+    """Read-only (height, width) bright-pixel mask, symmetric about the
+    rectangle's vertical center. Memoized: renders keep asking for the same
+    few hundred (shape, height, width) keys."""
     li = np.arange(height)[:, None]
     lj = np.arange(width)[None, :]
     off = np.floor(np.abs(lj - (width - 1) / 2.0)).astype(int)
-    full = (height, width)
     if shape == "pillar":
-        return np.ones(full, dtype=bool)
-    if shape == "torch":
-        return np.broadcast_to((off // 3) % 2 == 0, full)
-    if shape == "keycard":
-        return np.broadcast_to((li // 3) % 2 == 0, full)
-    if shape == "skullkey":
-        return (off // 3 + li // 3) % 2 == 0
-    if shape == "armor":
+        mask = np.ones((height, width), dtype=bool)
+    elif shape == "torch":
+        mask = (off // 3) % 2 == 0
+    elif shape == "keycard":
+        mask = (li // 3) % 2 == 0
+    elif shape == "skullkey":
+        mask = (off // 3 + li // 3) % 2 == 0
+    elif shape == "armor":
         b = max(2, min(height, width) // 4)
-        return (li < b) | (li >= height - b) | (lj < b) | (lj >= width - b)
-    raise ValueError(f"unknown shape {shape!r}")
+        mask = (li < b) | (li >= height - b) | (lj < b) | (lj >= width - b)
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    # a plain array, not a broadcast view of one row or column
+    mask = np.array(np.broadcast_to(mask, (height, width)))
+    mask.flags.writeable = False
+    return mask
 
 
 def render(state: WorldState) -> Observation:

@@ -4,8 +4,10 @@ cell-state attention, fusion variants, and the actor-critic heads.
 Attention flow per step t (recurrent sources): the attention applied to the
 current frame is the one produced at step t-1; the attended-and-flattened
 image concatenated with the instruction encoding then drives the LSTM that
-produces the attention for t+1. The fused state has length feat_h*feat_w in
-every variant so the policy heads stay comparable.
+produces the attention for t+1. That LSTM runs on every frame, so its gate
+arithmetic is one ``lstm_cell`` tape node; the GRU instruction encoder runs
+once per episode and stays composed of elementwise ops. The fused state has
+length feat_h*feat_w in every variant so the policy heads stay comparable.
 """
 
 from __future__ import annotations
@@ -287,16 +289,18 @@ def encode_instruction(g: Graph, params: Params, config: ModelConfig,
 
 def attention_step(g: Graph, params: Params, config: ModelConfig,
                    prev: AttentionState, x_t: Tensor) -> AttentionState:
-    """One LSTM update; the new cell state is the next attention vector."""
+    """One LSTM update; the new cell state is the next attention vector.
+
+    Four tape nodes: the gate input [h_{t-1}, x_t], one ``lstm_cell`` and a
+    ``row`` each for h_t and C_t. The forget gate reads the first
+    ``lstm_wf.shape[1]`` entries of the gate input, which is h_{t-1} alone
+    or all of it as ``config.forget_gate_sees_input`` sized that weight.
+    """
     hx = g.concat([prev.h, x_t])
-    f_in = hx if config.forget_gate_sees_input else prev.h
-    f = g.sigmoid(g.matvec(params["lstm_wf"], f_in, params["lstm_bf"]))
-    i = g.sigmoid(g.matvec(params["lstm_wi"], hx, params["lstm_bi"]))
-    cbar = g.tanh(g.matvec(params["lstm_wc"], hx, params["lstm_bc"]))
-    c = g.add(g.mul(f, prev.C), g.mul(i, cbar))
-    o = g.sigmoid(g.matvec(params["lstm_wo"], hx, params["lstm_bo"]))
-    h = g.mul(o, g.tanh(c))
-    return AttentionState(h=h, C=c)
+    hc = g.lstm_cell(hx, prev.C, params["lstm_wf"], params["lstm_bf"],
+                     params["lstm_wi"], params["lstm_bi"], params["lstm_wc"],
+                     params["lstm_bc"], params["lstm_wo"], params["lstm_bo"])
+    return AttentionState(h=g.row(hc, 0), C=g.row(hc, 1))
 
 
 def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,

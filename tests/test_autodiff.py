@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -5,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from groundnav import autodiff, gradcheck
+from groundnav import autodiff, gradcheck, nets
 from groundnav.autodiff import OP_KINDS, Graph, Tensor
 
 
@@ -64,6 +65,25 @@ def slab_fold(gcols, in_shape, k, stride):
             gx[:, a:a + ho * stride:stride,
                b:b + wo * stride:stride] += gcols[:, a, b]
     return gx
+
+
+def lstm_composed(g, h, x, c_prev, wf, bf, wi, bi, wc, bc, wo, bo):
+    """The LSTM step as the 14 nodes ``lstm_cell`` fuses (concat, 4 matvec,
+    3 sigmoid, 2 tanh, 3 mul, add): the reference it must match bit for
+    bit. The forget gate reads h alone when wf is as wide as h."""
+    hx = g.concat([h, x])
+    f_in = h if wf.shape[1] == h.shape[0] else hx
+    f = g.sigmoid(g.matvec(wf, f_in, bf))
+    i = g.sigmoid(g.matvec(wi, hx, bi))
+    cbar = g.tanh(g.matvec(wc, hx, bc))
+    c = g.add(g.mul(f, c_prev), g.mul(i, cbar))
+    o = g.sigmoid(g.matvec(wo, hx, bo))
+    return g.mul(o, g.tanh(c)), c
+
+
+def lstm_fused(g, h, x, c_prev, *weights):
+    hc = g.lstm_cell(g.concat([h, x]), c_prev, *weights)
+    return g.row(hc, 0), g.row(hc, 1)
 
 
 def conv2d_input_grad(x, kern, stride, weights):
@@ -135,6 +155,57 @@ class TestElementwise:
         with pytest.raises(ValueError, match="bias"):
             g.matvec(Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
                      Tensor(np.zeros(bias_shape)))
+
+
+class TestLstmCell:
+    @pytest.mark.parametrize("reads", ["h", "c", "both"])
+    @pytest.mark.parametrize("forget_sees_input", [True, False])
+    def test_matches_composition_bitwise(self, forget_sees_input, reads):
+        # as in a rollout: the previous state is read before the step (the
+        # applied attention), and the new c reaches the loss more than once
+        rng = np.random.default_rng(11)
+        d, n = 5, 7
+        nf = d + n if forget_sees_input else d
+        shapes = [(d,), (n,), (d,), (d, nf), (d,)] + [(d, d + n), (d,)] * 3
+        arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
+        u_h, u_c = Tensor(rng.standard_normal(d)), Tensor(rng.standard_normal(d))
+        results = []
+        for step in (lstm_composed, lstm_fused):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            g = Graph()
+            terms = [g.mul(leaves[0], leaves[2])]
+            h, c = step(g, *leaves)
+            if reads != "c":
+                terms.append(g.mul(h, u_h))
+            if reads != "h":
+                terms += [g.mul(c, u_c), g.mul(c, c)]
+            loss = g.sum_all(terms[0])
+            for t in terms[1:]:
+                loss = g.add(loss, g.sum_all(t))
+            g.backward(loss)
+            results.append([h.data, c.data] + [
+                np.zeros_like(t.data) if t.grad is None else t.grad
+                for t in leaves])
+        composed, fused = results
+        assert len(fused) == 2 + 11  # h, c; h_prev and x make up hx's gradient
+        # + 0.0 makes -0.0 equal 0.0: where the composition records no
+        # gradient (wo when only c is read), the fused backward multiplies
+        # a zero gradient through
+        for want, got in zip(composed, fused):
+            assert (want + 0.0).tobytes() == (got + 0.0).tobytes()
+
+    def test_shapes_rejected(self):
+        d, n = 2, 5
+        ok = [np.zeros(n), np.zeros(d), np.zeros((d, d)), np.zeros(d)] + \
+            [np.zeros((d, n)), np.zeros(d)] * 3
+        Graph().lstm_cell(*map(Tensor, ok))
+        for index, bad in [(0, np.zeros(n + 1)), (1, np.zeros(d + 1)),
+                           (2, np.zeros((d, n + 1))), (3, np.zeros(d + 1)),
+                           (8, np.zeros((d + 1, n))), (9, np.zeros((d, 1)))]:
+            operands = list(ok)
+            operands[index] = bad
+            with pytest.raises(ValueError, match="lstm_cell"):
+                Graph().lstm_cell(*map(Tensor, operands))
 
 
 class TestConv2d:
@@ -423,6 +494,30 @@ class TestGradCheckProperty:
         g, loss = gradcheck._rollout_loss(mconf, params, instruction, images)
         g.backward(loss)
         assert len(params.names()) == 27
+        assert [n for n, t in params.items()
+                if t.grad is None or not t.grad.any()] == []
+
+    @pytest.mark.parametrize("variant", [{"forget_gate_sees_input": False},
+                                         {"attention_source": "lstm_output"}],
+                             ids=["forget_reads_h", "lstm_output"])
+    def test_end_to_end_variant(self, variant):
+        # the suite checks the default wiring end to end; these read the
+        # forget gate from h alone, or apply h in place of the cell state.
+        # Under lstm_output frame 1 applies h_0 = 0, so its fused state is
+        # 0 and every trunk relu sits on its kink at the zero-initialised
+        # trunk_b: that bias is moved off zero.
+        mconf, _, instruction, images = gradcheck._tiny_model(0)
+        mconf = dataclasses.replace(mconf, **variant)
+        params = nets.init_params(mconf, 0)
+        rng = np.random.default_rng(0)
+        params["trunk_b"].data += rng.uniform(-0.5, 0.5, size=mconf.hidden)
+        tensors = params.tensors()
+        entries = [rng.choice(t.size, min(gradcheck.END_TO_END_SAMPLES, t.size),
+                              replace=False) for t in tensors]
+        err = gradcheck._worst_error(
+            tensors, lambda: gradcheck._rollout_loss(mconf, params, instruction,
+                                                     images), entries)
+        assert err < gradcheck.END_TO_END_TOL
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []
 

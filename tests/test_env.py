@@ -390,6 +390,15 @@ class TestRender:
 
         assert x_center(4) < x_center(8) < x_center(12)
 
+    @pytest.mark.parametrize("shape", gridnav.SHAPES)
+    def test_cached_mask_read_only(self, shape):
+        mask = gridnav._pattern_mask(shape, 11, 7)
+        assert gridnav._pattern_mask(shape, 11, 7) is mask
+        assert not mask.flags.writeable
+        assert mask.shape == (11, 7) and 0 not in mask.strides
+        np.testing.assert_array_equal(
+            mask, gridnav._pattern_mask.__wrapped__(shape, 11, 7))
+
     def test_values_in_unit_range(self, corpus):
         for seed in range(5):
             _, obs = reset(seed, "medium", corpus.train[seed])

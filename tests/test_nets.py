@@ -740,8 +740,9 @@ class TestModelStep:
 
 class TestTapeBudget:
     """Nodes one forward records at ModelConfig defaults. Each affine layer
-    is a single matvec node with its bias inside, so a new node here is a
-    per-frame interpreter cost in every desk-scale run."""
+    is a single matvec node with its bias inside and the attention LSTM is
+    one lstm_cell node, so a new node here is a per-frame interpreter cost
+    in every desk-scale run."""
 
     def test_model_step_nodes(self, vocab, corpus):
         config = ModelConfig(vocab=vocab)
@@ -750,7 +751,16 @@ class TestTapeBudget:
         g = Graph()
         model_step(g, params, config, Tensor(np.zeros(config.l)), obs.image,
                    initial_attention_state(config))
-        assert len(g.nodes) == 32
+        assert len(g.nodes) == 22
+
+    def test_attention_step_nodes(self, vocab):
+        config = ModelConfig(vocab=vocab)
+        params = init_params(config, 18)
+        g = Graph()
+        attention_step(g, params, config, initial_attention_state(config),
+                       Tensor(np.zeros(config.lstm_input_len)))
+        assert [node.op for node in g.nodes] == \
+            ["concat", "lstm_cell", "row", "row"]
 
     def test_encode_instruction_nodes(self, vocab):
         config = ModelConfig(vocab=vocab)
