@@ -409,8 +409,6 @@ class EpisodeResult:
     trace: list[dict]
     frames: list[np.ndarray] = field(default_factory=list)
     attended: list[Optional[np.ndarray]] = field(default_factory=list)
-    attention_vectors: list[Optional[np.ndarray]] = field(default_factory=list)
-    actions: list[str] = field(default_factory=list)
 
 
 def play_episode(params: Params, mconf: ModelConfig, instruction,
@@ -432,8 +430,6 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
             result.frames.append(obs.image.data.copy())
             result.attended.append(
                 None if out.attended is None else out.attended.data.copy())
-            result.attention_vectors.append(
-                None if out.attention is None else out.attention.data.copy())
         if greedy:
             action = int(np.argmax(out.probs.data))
         else:
@@ -444,7 +440,6 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         state, reward, done = gridnav.advance(state, ACTIONS[action])
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))
-        result.actions.append(ACTIONS[action])
         att = out.next_attention_state
         final_reward = reward
         result.steps = t + 1

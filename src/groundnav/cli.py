@@ -51,6 +51,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.eval_mode not in ("multitask", "zeroshot"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
 
@@ -164,19 +166,6 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(pixels.transpose(1, 2, 0).tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a binary PPM")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        raw = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    img = raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64)
-    return img / maxval
-
-
 def write_log_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -279,14 +268,12 @@ def run_eval(params: Params, mconf: ModelConfig, corpus: Corpus, mode: str,
              difficulty: str, episodes: int, seed: int,
              trace_sink: Optional[list] = None) -> EvalReport:
     split = corpus.train if mode == "multitask" else corpus.test
-    split_texts = {ins.text for ins in split}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     wins = 0
     total_reward = 0.0
     per_ins: dict[str, dict] = {}
     for _ in range(episodes):
         ins = split[int(rng.integers(len(split)))]
-        assert ins.text in split_texts
         env_seed = int(rng.integers(2 ** 31))
         result = play_episode(params, mconf, ins, env_seed, difficulty,
                               greedy=True)
@@ -332,7 +319,6 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
 
     result = play_episode(params, mconf, instruction, seed,
                           config.env.difficulty, greedy=True, capture=True)
-    hadamard_fallback = config.model.application == "hadamard_fc"
     index = {
         "instruction": instruction.text,
         "difficulty": config.env.difficulty,
@@ -340,7 +326,7 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
         "reward": result.reward,
         "note": ("heatmap is the channel-mean of the Hadamard-attended "
                  "features (1D-convolution map unavailable)"
-                 if hadamard_fallback else
+                 if config.model.application == "hadamard_fc" else
                  "heatmap is the 1D-convolution attended map"),
         "steps": [],
     }
@@ -348,11 +334,9 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
         frame_path = out_dir / f"step_{t:02d}_frame.ppm"
         heat_path = out_dir / f"step_{t:02d}_attention.ppm"
         write_ppm(frame_path, frame)
-        maps = attended if attended is not None else np.zeros(
-            (1, mconf.feat_h, mconf.feat_w))
-        if hadamard_fallback:
-            maps = maps.mean(axis=0, keepdims=True)
-        heat = normalized_heatmap(maps[0])
+        heat = normalized_heatmap(
+            np.zeros((mconf.feat_h, mconf.feat_w)) if attended is None
+            else attended.mean(axis=0))
         up = upsample_nearest(heat, mconf.render_h, mconf.render_w)
         blended = 0.5 * frame + 0.5 * up[None, :, :]
         write_ppm(heat_path, blended)
@@ -360,7 +344,7 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
             "t": t,
             "frame": frame_path.name,
             "attention": heat_path.name,
-            "action": result.actions[t],
+            "action": result.trace[t]["action"],
         })
     (out_dir / "index.json").write_text(json.dumps(index, indent=2,
                                                    sort_keys=True))
@@ -385,19 +369,6 @@ def cmd_gradcheck(seed: int, cases_per_op: int = 100) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Ablation matrix (the 18-cell variant table)
-# --------------------------------------------------------------------------
-
-def ablation_matrix() -> list[dict]:
-    return [
-        {"attention_source": source, "difficulty": difficulty, "mode": mode}
-        for source in ("current_frame", "lstm_output", "lstm_cellstate")
-        for difficulty in ("easy", "medium", "hard")
-        for mode in ("ZS", "MT")
-    ]
-
-
-# --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
 
@@ -407,27 +378,29 @@ def main(argv=None) -> int:
         description="instruction-following navigation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def add_common(p):
+        p.add_argument("--config", required=True,
                        help="experiment config file (key = value lines)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
     add_common(sub.add_parser("gen-corpus", help="write the instruction corpus"))
     add_common(sub.add_parser("train", help="train per configured seeds"))
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
+    p_eval = add_common(sub.add_parser("eval", help="evaluate a checkpoint"))
     p_eval.add_argument("--mode", choices=("multitask", "zeroshot"),
                         default=None)
     p_eval.add_argument("--episodes", type=int, default=None)
 
-    p_viz = sub.add_parser("visualize", help="attention heatmaps for one episode")
-    add_common(p_viz)
-    p_viz.add_argument("--checkpoint", required=True)
+    p_viz = add_common(sub.add_parser(
+        "visualize", help="attention heatmaps for one episode"))
     p_viz.add_argument("--instruction", default=None,
                        help="instruction text; defaults to the first train one")
+
+    for p in (p_eval, p_viz):
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--seed", type=int, default=None,
+                       help="episode seed; defaults to the first configured seed")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference suite")
     p_gc.add_argument("--seed", type=int, default=0)
@@ -440,7 +413,6 @@ def main(argv=None) -> int:
 
     config = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(config.out_dir)
-    seed = args.seed if args.seed is not None else config.seeds[0]
 
     if args.command == "gen-corpus":
         cmd_gen_corpus(config, out_dir)
@@ -448,10 +420,13 @@ def main(argv=None) -> int:
     if args.command == "train":
         cmd_train(config, out_dir)
         return 0
+    seed = args.seed if args.seed is not None else config.seeds[0]
     if args.command == "eval":
-        mode = args.mode or config.eval_mode
-        episodes = args.episodes or config.eval_episodes
-        cmd_eval(config, out_dir, Path(args.checkpoint), mode, episodes, seed)
+        if args.episodes is not None:
+            # the config's own check rejects a count below 1
+            config = dataclasses.replace(config, eval_episodes=args.episodes)
+        cmd_eval(config, out_dir, Path(args.checkpoint),
+                 args.mode or config.eval_mode, config.eval_episodes, seed)
         return 0
     if args.command == "visualize":
         corpus = gridnav.build_corpus(config.env.corpus_seed)

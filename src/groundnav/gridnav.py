@@ -5,9 +5,8 @@ of one correct and four incorrect objects. The agent turns in 90-degree
 increments or moves one cell forward, sees a first-person billboard render
 each step, and the episode ends on object contact (entering an object's cell
 or a 4-adjacent cell), or after 30 steps. Contact pays ``REWARD_CORRECT``
-only when the correct object is the single nearest one touched; a cell
-equally near two objects (the gap between neighbouring slots) counts as a
-wrong contact.
+only when the correct object is the only object touched; a cell beside two
+objects (the gap between neighbouring slots) counts as a wrong contact.
 
 Everything is a pure function of (seed, difficulty, instruction, actions);
 stepping uses no randomness at all.
@@ -201,47 +200,12 @@ def corpus_to_text(corpus: Corpus) -> str:
 
 
 def instruction_from_text(line: str) -> Instruction:
-    words = line.strip().lower().split()
-    if words[:3] != ["go", "to", "the"] or len(words) < 4:
-        raise ValueError(f"unparseable instruction {line!r}")
-    rest = words[3:]
-    if rest[0] in SUPERLATIVES:
-        if len(rest) != 2:
-            raise ValueError(f"unparseable superlative {line!r}")
-        return _superlative_instruction(rest[0], rest[1])
-    size = color = None
-    i = 0
-    if i < len(rest) and rest[i] in SIZES:
-        size = rest[i]
-        i += 1
-    if i < len(rest) and rest[i] in COLORS:
-        color = rest[i]
-        i += 1
-    if i != len(rest) - 1:
-        raise ValueError(f"unparseable instruction {line!r}")
-    noun = rest[i]
-    if noun not in SHAPES + ("object",):
-        raise ValueError(f"unknown noun {noun!r} in {line!r}")
-    return _attr_instruction(size, color, noun)
-
-
-def corpus_from_text(text: str) -> Corpus:
-    section = None
-    train: list[Instruction] = []
-    test: list[Instruction] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[train]":
-            section = train
-        elif line == "[test]":
-            section = test
-        elif section is None:
-            raise ValueError("corpus line before any section header")
-        else:
-            section.append(instruction_from_text(line))
-    return Corpus(train=tuple(train), test=tuple(test))
+    """The grammar's instruction with this text, up to case and spacing."""
+    text = " ".join(line.lower().split())
+    for ins in all_instructions():
+        if ins.text == text:
+            return ins
+    raise ValueError(f"not an instruction of the grammar: {line!r}")
 
 
 # --------------------------------------------------------------------------
@@ -271,11 +235,6 @@ def _view(agent_pos, heading: str, cell,
     if forward >= min_forward and abs(lateral) <= forward:
         return forward, lateral
     return None
-
-
-def in_frustum(agent_pos, heading: str, cell) -> bool:
-    """90-degree field of view centered on the heading."""
-    return _view(agent_pos, heading, cell) is not None
 
 
 def _resolve_correct_ids(predicate: Predicate,
@@ -406,17 +365,13 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
 
 
 def _contact_object(state: WorldState, pos) -> tuple[int, ...]:
-    """Indices of the nearest objects whose cell ``pos`` is in or
-    4-adjacent to; empty when ``pos`` touches nothing. Two indices mean
-    ``pos`` is the gap between two objects, a tie that ``advance`` counts
-    as a wrong contact, whichever of them is correct."""
+    """Indices of the objects whose cell ``pos`` is in or 4-adjacent to;
+    empty when ``pos`` touches nothing. Objects stand at least two cells
+    apart (Chebyshev), so two indices mean ``pos`` is the gap between two
+    objects, a tie that ``advance`` counts as wrong, whichever is correct."""
     hits: tuple[int, ...] = ()
-    best = 1  # contact distance: 0 inside the cell, 1 beside it
     for i, obj in enumerate(state.objects):
-        d = abs(pos[0] - obj.position[0]) + abs(pos[1] - obj.position[1])
-        if d < best:
-            best, hits = d, (i,)
-        elif d == best:
+        if abs(pos[0] - obj.position[0]) + abs(pos[1] - obj.position[1]) <= 1:
             hits += (i,)
     return hits
 

@@ -110,10 +110,12 @@ class AttentionState:
 
 
 def initial_attention_state(config: ModelConfig) -> AttentionState:
-    # all-ones C_0 is a pass-through under Hadamard and a uniform channel
-    # weighting under 1D convolution; h_0 is zero
-    return AttentionState(h=Tensor(np.zeros(config.d)),
-                          C=Tensor(np.ones(config.d)))
+    # The first frame applies h_0 under lstm_output and C_0 under
+    # lstm_cellstate. All ones is a pass-through under Hadamard and a uniform
+    # channel weighting under 1D convolution, so C_0 is ones, and h_0 is ones
+    # under lstm_output (zero would blank that frame) and zero otherwise.
+    h0 = np.ones if config.attention_source == "lstm_output" else np.zeros
+    return AttentionState(h=Tensor(h0(config.d)), C=Tensor(np.ones(config.d)))
 
 
 # --------------------------------------------------------------------------
@@ -353,9 +355,7 @@ def policy_forward(g: Graph, params: Params, state: Tensor) -> tuple[Tensor, Ten
 
 @dataclass
 class StepOutput:
-    attention: Optional[Tensor]
     attended: Optional[Tensor]  # pre-flatten attended maps (heatmap source)
-    state: Tensor
     probs: Tensor
     value: Tensor
     next_attention_state: Optional[AttentionState]
@@ -368,13 +368,13 @@ def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     Raises FloatingPointError, naming the first op with a non-finite
     output, if the action probabilities or the value are not finite."""
     features = encode_image(g, params, config, image)
-    att, attended, state, new_prev = fuse(g, params, config, x_l, features,
-                                          prev)
+    _, attended, state, new_prev = fuse(g, params, config, x_l, features,
+                                        prev)
     probs, value = policy_forward(g, params, state)
     g.check_finite(probs)
     g.check_finite(value)
-    return StepOutput(attention=att, attended=attended, state=state,
-                      probs=probs, value=value, next_attention_state=new_prev)
+    return StepOutput(attended=attended, probs=probs, value=value,
+                      next_attention_state=new_prev)
 
 
 # --------------------------------------------------------------------------

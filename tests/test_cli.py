@@ -6,7 +6,6 @@ import pytest
 from groundnav import cli, gridnav, nets
 from groundnav.cli import (
     ExperimentConfig,
-    ablation_matrix,
     cmd_eval,
     cmd_gen_corpus,
     cmd_gradcheck,
@@ -17,7 +16,6 @@ from groundnav.cli import (
     mean_curve,
     normalized_heatmap,
     parse_config_text,
-    read_ppm,
     run_eval,
     upsample_nearest,
     write_ppm,
@@ -102,6 +100,11 @@ class TestConfigParsing:
                                    "conv_specs = 8x4x4,12x3x2,16x2x1  # inline\n")
         assert config.model.d == 16
 
+    def test_eval_episodes_below_one_rejected(self):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="eval_episodes"):
+                parse_config_text(f"eval_episodes = {count}\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("difficulty easy\n")
@@ -116,6 +119,20 @@ class TestConfigParsing:
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         assert load_config(path) == parse_config_text(TINY_CONFIG)
+
+
+def read_ppm(path) -> np.ndarray:
+    """(3, H, W) float image in [0, 1] from a binary PPM (P6)."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P6":
+            raise ValueError(f"{path}: not a binary PPM")
+        dims = fh.readline().split()
+        w, h = int(dims[0]), int(dims[1])
+        maxval = int(fh.readline())
+        raw = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
+    img = raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64)
+    return img / maxval
 
 
 class TestPpm:
@@ -173,22 +190,13 @@ class TestHelpers:
         assert mean[0]["frames"] == pytest.approx(110)
         assert mean[0]["accuracy"] == pytest.approx(0.2)
 
-    def test_ablation_matrix_cells(self):
-        cells = ablation_matrix()
-        assert len(cells) == 18
-        assert len({tuple(sorted(c.items())) for c in cells}) == 18
-        sources = {c["attention_source"] for c in cells}
-        assert sources == {"current_frame", "lstm_output", "lstm_cellstate"}
-        assert {c["difficulty"] for c in cells} == {"easy", "medium", "hard"}
-        assert {c["mode"] for c in cells} == {"ZS", "MT"}
-
 
 class TestGenCorpus:
     def test_writes_corpus(self, tiny_config, tmp_path):
         path = cmd_gen_corpus(tiny_config, tmp_path)
-        corpus = gridnav.corpus_from_text(path.read_text())
-        assert len(corpus.train) == 55
-        assert len(corpus.test) == 15
+        corpus = gridnav.build_corpus(tiny_config.env.corpus_seed)
+        assert path.read_text() == gridnav.corpus_to_text(corpus)
+        assert len(path.read_text().splitlines()) == 2 + 55 + 15
 
 
 class TestTrain:
@@ -381,6 +389,25 @@ class TestMainEntry:
                        "--episodes", "5", "--seed", "2"])
         assert rc == 0
         assert (out / "eval_zeroshot.json").exists()
+
+    def test_seed_rejected_where_unused(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        for command in ("gen-corpus", "train"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--config", str(cfg),
+                          "--out", str(tmp_path / "out"), "--seed", "5"])
+            assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_eval_episodes_below_one_rejected(self, tmp_path):
+        # rejected before the checkpoint is read, so none is needed
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        for count in ("0", "-3"):
+            with pytest.raises(ValueError, match="eval_episodes"):
+                cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path),
+                          "--checkpoint", str(tmp_path / "none.bin"),
+                          "--episodes", count])
 
     def test_visualize_command_with_instruction(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

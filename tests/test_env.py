@@ -12,15 +12,14 @@ from groundnav.gridnav import (
     EASY_OBJECT_COLS,
     EASY_OBJECT_ROW,
     MAX_STEPS,
+    Corpus,
     Instruction,
     ObjectSpec,
     Predicate,
     WorldState,
     advance,
     build_corpus,
-    corpus_from_text,
     corpus_to_text,
-    in_frustum,
     instruction_from_text,
     render,
     reset,
@@ -60,20 +59,28 @@ class TestCorpus:
         assert len(gridnav.all_instructions()) >= 70
 
     def test_serialization_roundtrip(self, corpus):
-        text = corpus_to_text(corpus)
-        parsed = corpus_from_text(text)
+        lines = corpus_to_text(corpus).splitlines()
+        split = lines.index("[test]")
+        assert lines[0] == "[train]"
+        parsed = Corpus(
+            train=tuple(map(instruction_from_text, lines[1:split])),
+            test=tuple(map(instruction_from_text, lines[split + 1:])))
         assert parsed == corpus
 
     def test_instruction_parsing(self):
         ins = instruction_from_text("go to the tall green pillar")
         assert ins.predicate == Predicate(kind="attrs", size="tall",
                                           color="green", shape="pillar")
-        sup = instruction_from_text("go to the tallest torch")
-        assert sup.predicate.kind == "superlative"
-        with pytest.raises(ValueError):
-            instruction_from_text("walk to the pillar")
-        with pytest.raises(ValueError):
-            instruction_from_text("go to the")
+        sup = instruction_from_text("  Go to THE\ttallest torch ")
+        assert sup.predicate == Predicate(kind="superlative",
+                                          which="tallest", shape="torch")
+        for ins in gridnav.all_instructions():
+            assert instruction_from_text(ins.text.upper()) == ins
+        for bad in ("walk to the pillar", "go to the", "go to the object",
+                    "go to the green tall pillar", "go to the tallest red torch",
+                    "go to the tall green pillar now"):
+            with pytest.raises(ValueError):
+                instruction_from_text(bad)
 
     def test_unconstrained_predicate_rejected(self):
         with pytest.raises(ValueError):
@@ -95,15 +102,15 @@ class TestReset:
     def test_easy_objects_in_view(self, corpus):
         state, _ = reset(1, "easy", corpus.train[3])
         for obj in state.objects:
-            assert in_frustum(state.agent_pos, state.agent_heading,
-                              obj.position)
+            assert gridnav._view(state.agent_pos, state.agent_heading,
+                                 obj.position) is not None
 
     def test_medium_objects_in_view(self, corpus):
         for seed in range(8):
             state, _ = reset(seed, "medium", corpus.train[seed % 55])
             for obj in state.objects:
-                assert in_frustum(state.agent_pos, state.agent_heading,
-                                  obj.position)
+                assert gridnav._view(state.agent_pos, state.agent_heading,
+                                     obj.position) is not None
 
     def test_hard_varies_agent_pose(self, corpus):
         poses = {reset(seed, "hard", corpus.train[0])[0].agent_pos
@@ -120,14 +127,21 @@ class TestReset:
         assert a.correct_ids == b.correct_ids
 
     def test_exactly_five_objects_one_correct(self, corpus):
+        # advance counts every object within Manhattan distance 1 as
+        # touched, with no nearest-first rule; that needs every start at
+        # distance 2 or more from each object, and objects at least two
+        # cells apart (Chebyshev)
         for seed in range(10):
             for difficulty in ("easy", "medium", "hard"):
                 state, _ = reset(seed, difficulty, corpus.train[seed])
                 assert len(state.objects) == 5
                 assert len(state.correct_ids) == 1
-                positions = {o.position for o in state.objects}
-                assert len(positions) == 5
-                assert state.agent_pos not in positions
+                positions = [o.position for o in state.objects]
+                ar, ac = state.agent_pos
+                for k, (r, c) in enumerate(positions):
+                    assert abs(r - ar) + abs(c - ac) >= 2
+                    for r2, c2 in positions[k + 1:]:
+                        assert max(abs(r - r2), abs(c - c2)) >= 2
 
     def test_correct_object_satisfies_predicate(self, corpus):
         for seed in range(20):

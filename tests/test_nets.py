@@ -734,8 +734,28 @@ class TestModelStep:
         g = Graph()
         x_l = encode_instruction(g, params, config, ins.tokens)
         out = model_step(g, params, config, x_l, obs.image, None)
-        assert out.attention is None
-        assert out.state.shape == (config.state_len,)
+        assert out.attended is None
+        assert out.next_attention_state is None
+        assert out.probs.shape == (config.action_count,)
+
+    @pytest.mark.parametrize("application", nets.APPLICATIONS)
+    def test_lstm_output_first_frame_sees_the_image(self, vocab, corpus,
+                                                     application):
+        # a zero h_0 would zero the first frame's attended maps, so two
+        # different frames would give bit-identical action probabilities
+        config = ModelConfig(vocab=vocab, attention_source="lstm_output",
+                             application=application)
+        params = init_params(config, 0)
+        ins = corpus.train[0]
+        images = [gridnav.reset(seed, "hard", ins)[1].image for seed in (1, 2)]
+        assert not np.array_equal(images[0].data, images[1].data)
+        probs = []
+        for image in images:
+            g = Graph()
+            x_l = encode_instruction(g, params, config, ins.tokens)
+            probs.append(model_step(g, params, config, x_l, image,
+                                    initial_attention_state(config)).probs.data)
+        assert not np.array_equal(probs[0], probs[1])
 
 
 class TestTapeBudget:
