@@ -7,7 +7,9 @@ write of the shared parameters holds the optimizer lock, so a worker never
 sees an update half applied. Workers claim each frame from the
 ``Collector`` before they play it, and report updates, episode ends and
 failures to it, under its own lock; it keeps the run totals and the log and
-decides when the run stops, so a run trains exactly its frame budget.
+decides when the run stops, so a run trains exactly its frame budget. No
+lock is taken while another is held: the checkpoint callback, which takes
+the optimizer lock, runs after the collector lock is released.
 ``mode="sync"`` runs one worker inline and is bit-for-bit reproducible.
 """
 
@@ -28,6 +30,7 @@ from .nets import (
     ModelConfig,
     Params,
     encode_instruction,
+    init_params,
     initial_attention_state,
     model_step,
 )
@@ -59,6 +62,11 @@ class TrainerConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.log_every_episodes < 1:
+            raise ValueError("log_every_episodes must be >= 1")
+        for name in ("max_frames", "max_episodes", "checkpoint_every_episodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("sync", "async"):
@@ -79,7 +87,6 @@ class EnvSettings:
 
 @dataclass
 class RolloutStep:
-    action: int
     log_prob: Tensor
     value: Tensor
     entropy: Tensor
@@ -216,18 +223,16 @@ class Collector:
     def end_episode(self, reward: float) -> None:
         with self.lock:
             self.episodes += 1
+            episodes = self.episodes
             self.recent.append(reward)
-            if self.episodes % self.config.log_every_episodes == 0:
+            if episodes % self.config.log_every_episodes == 0:
                 self._emit_row()
-            # the callback may take the optimizer lock; no worker reports
-            # while holding that lock, so the two are always taken in the
-            # order collector, then optimizer
-            if (self.checkpoint_cb is not None
-                    and self.config.checkpoint_every_episodes > 0
-                    and self.episodes % self.config.checkpoint_every_episodes == 0):
-                self.checkpoint_cb(self.episodes)
-            if 0 < self.config.max_episodes <= self.episodes:
+            if 0 < self.config.max_episodes <= episodes:
                 self.stop_event.set()
+        if (self.checkpoint_cb is not None
+                and self.config.checkpoint_every_episodes > 0
+                and episodes % self.config.checkpoint_every_episodes == 0):
+            self.checkpoint_cb(episodes)
 
     def fail(self, error: BaseException) -> None:
         with self.lock:
@@ -295,8 +300,8 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             entropy = policy_entropy(g, out.probs)
             state, reward, done = gridnav.advance(state, ACTIONS[action])
             rollout.append(RolloutStep(
-                action=action, log_prob=log_prob, value=out.value,
-                entropy=entropy, reward=reward, done=done))
+                log_prob=log_prob, value=out.value, entropy=entropy,
+                reward=reward, done=done))
             att = out.next_attention_state
             if done:
                 collector.end_episode(reward)
@@ -342,12 +347,10 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
     plus the final shared parameters. ``checkpoint_cb`` runs on the worker
-    that ended the episode: the calling thread in sync mode, a worker
-    thread in async mode. If an async worker raises, a checkpoint callback
-    included, the other workers are stopped and joined, and its exception
-    is re-raised here."""
-    from .nets import init_params
-
+    that ended the episode (the calling thread in sync mode, a worker
+    thread in async mode) and holds no lock while it runs. If an async
+    worker raises, a checkpoint callback included, the other workers are
+    stopped and joined, and its exception is re-raised here."""
     corpus = gridnav.build_corpus(env.corpus_seed)
     shared = init_params(mconf, seed)
     opt = SharedOptimizerState(shared)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import gradcheck, gridnav, nets
 from .a3c import LOG_COLUMNS, EnvSettings, TrainerConfig, play_episode, train
+from .autodiff import OP_KINDS
 from .gridnav import Corpus, Instruction
 from .nets import ModelConfig, Params
 
@@ -324,7 +325,9 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
         "difficulty": config.env.difficulty,
         "seed": seed,
         "reward": result.reward,
-        "note": ("heatmap is the channel-mean of the Hadamard-attended "
+        "note": ("concat fusion has no attention; every heatmap is flat"
+                 if config.model.fusion == "concat" else
+                 "heatmap is the channel-mean of the Hadamard-attended "
                  "features (1D-convolution map unavailable)"
                  if config.model.application == "hadamard_fc" else
                  "heatmap is the 1D-convolution attended map"),
@@ -354,18 +357,15 @@ def cmd_visualize(config: ExperimentConfig, out_dir: Path, checkpoint: Path,
 
 
 def cmd_gradcheck(seed: int, cases_per_op: int = 100) -> bool:
-    result = gradcheck.run_suite(seed=seed, cases_per_op=cases_per_op)
-    ok = True
-    for op, err in result.op_errors.items():
-        passed = err < gradcheck.OP_TOL
-        ok &= passed
-        print(f"{op:18s} max rel err {err:.3e}  "
-              f"{'PASS' if passed else 'FAIL'}")
-    e2e_ok = result.end_to_end_error < gradcheck.END_TO_END_TOL
-    ok &= e2e_ok
-    print(f"{'end_to_end':18s} max rel err {result.end_to_end_error:.3e}  "
-          f"{'PASS' if e2e_ok else 'FAIL'}")
-    return ok
+    """Check every op kind, then the end-to-end pass; True if all pass."""
+    checks = [(op, gradcheck.check_op(op, seed=seed, cases=cases_per_op),
+               gradcheck.OP_TOL) for op in OP_KINDS]
+    checks.append(("end_to_end", gradcheck.check_end_to_end(seed),
+                   gradcheck.END_TO_END_TOL))
+    for name, err, tol in checks:
+        print(f"{name:18s} max rel err {err:.3e}  "
+              f"{'PASS' if err < tol else 'FAIL'}")
+    return all(err < tol for _, err, tol in checks)
 
 
 # --------------------------------------------------------------------------

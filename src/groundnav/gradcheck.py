@@ -16,7 +16,6 @@ gets a nonzero gradient. The CLI surfaces this as ``gradcheck``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -248,8 +247,8 @@ def _tiny_model(seed: int):
     state, obs = gridnav.reset(seed, "easy", instruction, render_hw=(27, 36))
     images = [obs.image]
     for action in END_TO_END_ACTIONS[:-1]:
-        state, obs = gridnav.step(state, action)
-        images.append(obs.image)
+        state, _, _ = gridnav.advance(state, action)
+        images.append(gridnav.render(state).image)
     return mconf, params, instruction, images
 
 
@@ -283,21 +282,3 @@ def check_end_to_end(seed: int = 0) -> float:
     entries = [rng.choice(t.size, min(END_TO_END_SAMPLES, t.size),
                           replace=False) for t in tensors]
     return _worst_error(tensors, lambda: _rollout_loss(*model), entries)
-
-
-# --------------------------------------------------------------------------
-# Whole-suite entry point
-# --------------------------------------------------------------------------
-
-@dataclass
-class SuiteResult:
-    op_errors: dict[str, float]
-    end_to_end_error: float
-
-
-def run_suite(seed: int = 0, cases_per_op: int = 100) -> SuiteResult:
-    """Check every registered op exactly once plus the end-to-end pass."""
-    op_errors = {op: check_op(op, seed=seed, cases=cases_per_op)
-                 for op in OP_KINDS}
-    return SuiteResult(op_errors=op_errors,
-                       end_to_end_error=check_end_to_end(seed))

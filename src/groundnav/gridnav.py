@@ -1,12 +1,14 @@
 """Deterministic seedable grid-world navigation with egocentric rendering.
 
 One episode: an instruction like "go to the tall green pillar" plus a spawn
-of one correct and four incorrect objects. The agent turns in 90-degree
-increments or moves one cell forward, sees a first-person billboard render
-each step, and the episode ends on object contact (entering an object's cell
-or a 4-adjacent cell), or after 30 steps. Contact pays ``REWARD_CORRECT``
-only when the correct object is the only object touched; a cell beside two
-objects (the gap between neighbouring slots) counts as a wrong contact.
+of five objects. Object 0 is the correct one and objects 1-4 are not;
+``reset`` checks every spawn against the instruction and raises if that does
+not hold. The agent turns in 90-degree increments or moves one cell forward,
+sees a first-person billboard render each step, and the episode ends on
+object contact (entering an object's cell or a 4-adjacent cell), or after 30
+steps. Contact pays ``REWARD_CORRECT`` only when object 0 is the only object
+touched; a cell beside two objects (the gap between neighbouring slots)
+counts as a wrong contact.
 
 Everything is a pure function of (seed, difficulty, instruction, actions);
 stepping uses no randomness at all.
@@ -39,7 +41,6 @@ REWARD_INCORRECT = -0.2
 REWARD_TIMEOUT = 0.0
 
 GRID_SIZE = (12, 16)
-DEFAULT_RENDER_HW = (48, 64)
 
 # Fixed easy-mode pose and object line (agent looks north at five slots).
 EASY_AGENT_POS = (11, 8)
@@ -120,10 +121,8 @@ class ObjectSpec:
 class WorldState:
     agent_pos: tuple[int, int]
     agent_heading: str
-    objects: tuple[ObjectSpec, ...]
-    correct_ids: frozenset[int]
+    objects: tuple[ObjectSpec, ...]  # object 0 is the correct one
     step_count: int
-    instruction: Instruction
     render_hw: tuple[int, int]
     done: bool = False
 
@@ -316,7 +315,7 @@ def _pick_cells(rng, candidates, count, min_separation=2):
 
 
 def reset(seed: int, difficulty: str, instruction: Instruction,
-          render_hw: tuple[int, int] = DEFAULT_RENDER_HW) -> tuple[WorldState, Observation]:
+          render_hw: tuple[int, int]) -> tuple[WorldState, Observation]:
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
     rng = _episode_rng(seed, difficulty, instruction)
@@ -356,9 +355,7 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
         agent_pos=agent_pos,
         agent_heading=heading,
         objects=objects,
-        correct_ids=correct,
         step_count=0,
-        instruction=instruction,
         render_hw=render_hw,
     )
     return state, render(state)
@@ -377,7 +374,9 @@ def _contact_object(state: WorldState, pos) -> tuple[int, ...]:
 
 
 def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
-    """Transition without rendering; the fast path for simulation loops."""
+    """Transition without rendering. Contact pays ``REWARD_CORRECT`` only
+    when object 0, the correct object ``reset`` checked at spawn, is the
+    only object touched."""
     if state.done:
         raise ValueError("step after episode end")
     if action not in ACTIONS:
@@ -398,8 +397,7 @@ def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
     steps = state.step_count + 1
     hits = _contact_object(state, pos)
     if hits:
-        correct = len(hits) == 1 and hits[0] in state.correct_ids
-        reward = REWARD_CORRECT if correct else REWARD_INCORRECT
+        reward = REWARD_CORRECT if hits == (0,) else REWARD_INCORRECT
         done = True
     elif steps >= MAX_STEPS:
         reward, done = REWARD_TIMEOUT, True
@@ -410,11 +408,6 @@ def advance(state: WorldState, action: str) -> tuple[WorldState, float, bool]:
         state, agent_pos=pos, agent_heading=heading, step_count=steps,
         done=done)
     return new_state, reward, done
-
-
-def step(state: WorldState, action: str) -> tuple[WorldState, Observation]:
-    new_state, _, _ = advance(state, action)
-    return new_state, render(new_state)
 
 
 # --------------------------------------------------------------------------

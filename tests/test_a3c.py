@@ -33,7 +33,7 @@ def _scalar_steps(g, rewards, dones, values=None, actions=None, n_actions=3):
         probs = g.softmax(logits)
         lp = g.log(g.pick(probs, a))
         ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-        steps.append(RolloutStep(action=a, log_prob=lp,
+        steps.append(RolloutStep(log_prob=lp,
                                  value=g.shift(g.sum_all(Tensor(0.0)), v),
                                  entropy=ent, reward=r, done=d))
     return steps
@@ -138,7 +138,7 @@ class TestComputeLosses:
         probs = g.softmax(logits)
         lp = g.log(g.pick(probs, 0))
         ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-        rollout = [RolloutStep(action=0, log_prob=lp,
+        rollout = [RolloutStep(log_prob=lp,
                                value=g.shift(g.scale(v, 1.0), 0.0),
                                entropy=ent, reward=1.0, done=True)]
         policy_loss, _, _ = compute_losses(g, rollout, [1.0])
@@ -231,7 +231,7 @@ def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
             reward = 1.0 if action == 0 else 0.0
             lp = g.log(g.pick(probs, action))
             ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-            rollout.append(RolloutStep(action=action, log_prob=lp,
+            rollout.append(RolloutStep(log_prob=lp,
                                        value=value, entropy=ent, reward=reward,
                                        done=True))
         returns = compute_returns(rollout, 0.0, config.gamma)
@@ -434,7 +434,7 @@ class TestNonFiniteForward:
         _, mconf = tiny_model
         init_params = nets.init_params
         monkeypatch.setattr(
-            nets, "init_params",
+            a3c, "init_params",
             lambda config, seed: _overflowing_trunk(init_params(config, seed)))
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         with pytest.raises(FloatingPointError,
@@ -515,6 +515,18 @@ class TestCollector:
         for _ in range(3):
             collector.end_episode(0.0)
         assert collector.stop_event.is_set()
+
+    def test_checkpoint_callback_runs_outside_the_lock(self):
+        # the callback may take the optimizer lock, so it must not run
+        # while the collector lock is held
+        held = []
+        collector = Collector(
+            TrainerConfig(max_frames=0, checkpoint_every_episodes=2),
+            checkpoint_cb=lambda episodes: held.append(
+                (episodes, collector.lock.locked())))
+        for _ in range(5):
+            collector.end_episode(0.0)
+        assert held == [(2, False), (4, False)]
 
     def test_concurrent_reports_apply_one_at_a_time(self):
         # more reporting threads than cores, switching as often as the

@@ -105,6 +105,13 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match="eval_episodes"):
                 parse_config_text(f"eval_episodes = {count}\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("log_every_episodes", 0), ("max_frames", -5), ("max_episodes", -1),
+        ("checkpoint_every_episodes", -1)])
+    def test_bad_count_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("difficulty easy\n")
@@ -347,6 +354,23 @@ class TestVisualize:
                               out / "seed1" / "checkpoint.bin",
                               corpus.train[1], seed=1)
         assert "channel-mean" in index["note"]
+
+    def test_concat_noted_flat(self, tmp_path):
+        # concat fusion has no attention: the note says so, and every
+        # attention image is the frame blended with a flat 0.5 map
+        config = parse_config_text(
+            TINY_CONFIG + "fusion = concat\nmax_frames = 0\n")
+        out = tmp_path / "run"
+        cmd_train(config, out)
+        corpus = gridnav.build_corpus(config.env.corpus_seed)
+        index = cmd_visualize(config, tmp_path / "viz",
+                              out / "seed1" / "checkpoint.bin",
+                              corpus.train[1], seed=1)
+        assert "no attention" in index["note"]
+        for step in index["steps"]:
+            frame = read_ppm(tmp_path / "viz" / step["frame"])
+            heat = read_ppm(tmp_path / "viz" / step["attention"])
+            np.testing.assert_allclose(heat, 0.5 * frame + 0.25, atol=1 / 255)
 
 
 class TestGradcheckCommand:

@@ -22,14 +22,23 @@ from groundnav.gridnav import (
     corpus_to_text,
     instruction_from_text,
     render,
-    reset,
-    step,
 )
 
 
 @pytest.fixture(scope="module")
 def corpus():
     return build_corpus(7)
+
+
+def reset(seed, difficulty, instruction):
+    return gridnav.reset(seed, difficulty, instruction, render_hw=(48, 64))
+
+
+def _correct_object(state, instruction):
+    """Object 0, after checking that the instruction picks it alone."""
+    assert gridnav._resolve_correct_ids(instruction.predicate,
+                                        state.objects) == {0}
+    return state.objects[0]
 
 
 class TestCorpus:
@@ -124,7 +133,6 @@ class TestReset:
         assert a.agent_pos == b.agent_pos
         assert a.agent_heading == b.agent_heading
         assert a.objects == b.objects
-        assert a.correct_ids == b.correct_ids
 
     def test_exactly_five_objects_one_correct(self, corpus):
         # advance counts every object within Manhattan distance 1 as
@@ -135,7 +143,7 @@ class TestReset:
             for difficulty in ("easy", "medium", "hard"):
                 state, _ = reset(seed, difficulty, corpus.train[seed])
                 assert len(state.objects) == 5
-                assert len(state.correct_ids) == 1
+                _correct_object(state, corpus.train[seed])
                 positions = [o.position for o in state.objects]
                 ar, ac = state.agent_pos
                 for k, (r, c) in enumerate(positions):
@@ -147,13 +155,11 @@ class TestReset:
         for seed in range(20):
             ins = corpus.train[seed % 55]
             state, _ = reset(seed, "easy", ins)
-            (cid,) = state.correct_ids
-            obj = state.objects[cid]
+            obj = _correct_object(state, ins)
             if ins.predicate.kind == "attrs":
                 assert ins.predicate.matches_attrs(obj.size, obj.color,
                                                    obj.shape)
-                others = [o for i, o in enumerate(state.objects) if i != cid]
-                for o in others:
+                for o in state.objects[1:]:
                     assert not ins.predicate.matches_attrs(o.size, o.color,
                                                            o.shape)
             else:
@@ -163,16 +169,25 @@ class TestReset:
         tallest = instruction_from_text("go to the tallest torch")
         for seed in range(20):
             state, _ = reset(seed, "easy", tallest)
-            (cid,) = state.correct_ids
-            assert state.objects[cid].shape == "torch"
-            assert state.objects[cid].size == "tall"
+            obj = _correct_object(state, tallest)
+            assert obj.shape == "torch"
+            assert obj.size == "tall"
             same_shape = [o for o in state.objects if o.shape == "torch"]
             talls = [o for o in same_shape if o.size == "tall"]
             assert len(talls) == 1
         shortest = instruction_from_text("go to the shortest armor")
         state, _ = reset(3, "easy", shortest)
-        (cid,) = state.correct_ids
-        assert state.objects[cid].size == "short"
+        assert _correct_object(state, shortest).size == "short"
+
+    def test_spawn_where_object_0_is_wrong_raises(self, corpus, monkeypatch):
+        # reset's spawn check is what makes object 0 the answer
+        ins = instruction_from_text("go to the tall green pillar")
+        monkeypatch.setattr(
+            gridnav, "_sample_specs",
+            lambda rng, predicate: [("short", "red", "torch")] * 4
+            + [("tall", "green", "pillar")])
+        with pytest.raises(AssertionError):
+            reset(0, "easy", ins)
 
     def test_unknown_difficulty(self, corpus):
         with pytest.raises(ValueError):
@@ -213,8 +228,7 @@ class TestStep:
     def test_reaching_correct_object(self, corpus):
         ins = corpus.train[0]
         state, _ = reset(0, "easy", ins)
-        (cid,) = state.correct_ids
-        target = state.objects[cid].position
+        target = _correct_object(state, ins).position
         # stand directly below the object, then step into the contact cell
         state = dataclasses.replace(state, agent_pos=(target[0] + 2, target[1]),
                                     agent_heading="N")
@@ -224,9 +238,8 @@ class TestStep:
     def test_reaching_incorrect_object(self, corpus):
         ins = corpus.train[0]
         state, _ = reset(0, "easy", ins)
-        (cid,) = state.correct_ids
-        wrong = next(i for i in range(5) if i != cid)
-        target = state.objects[wrong].position
+        _correct_object(state, ins)
+        target = state.objects[1].position
         state = dataclasses.replace(state, agent_pos=(target[0] + 2, target[1]),
                                     agent_heading="N")
         state, reward, done = advance(state, "move_forward")
@@ -236,8 +249,7 @@ class TestStep:
         # the gap between the correct object and a neighbour touches both
         ins = corpus.train[0]
         state, _ = reset(0, "easy", ins)
-        (cid,) = state.correct_ids
-        row, col = state.objects[cid].position
+        row, col = _correct_object(state, ins).position
         gap = (row, col + 1 if col < EASY_OBJECT_COLS[-1] else col - 1)
         state = dataclasses.replace(state, agent_pos=(row + 1, gap[1]),
                                     agent_heading="N")
@@ -298,12 +310,6 @@ class TestStep:
             assert rewards[-1] in (1.0, -0.2, 0.0)
             assert len(rewards) <= MAX_STEPS
 
-    def test_step_returns_observation(self, corpus):
-        state, _ = reset(0, "easy", corpus.train[0])
-        nxt, obs = step(state, "move_forward")
-        assert obs.image.shape == (3, 48, 64)
-        assert (obs.image.data == render(nxt).image.data).all()
-
     def test_trace_record_fields(self, corpus):
         state, _ = reset(0, "easy", corpus.train[0])
         state, reward, done = advance(state, "move_forward")
@@ -317,11 +323,8 @@ def _blank_state(render_hw=(48, 64)):
     objs = tuple(
         ObjectSpec(color="red", shape="pillar", size="tall", position=(11, c))
         for c in (0, 2, 4, 6, 8))
-    ins = instruction_from_text("go to the red pillar")
-    return WorldState(
-        agent_pos=(0, 8), agent_heading="N",
-        objects=objs, correct_ids=frozenset([0]), step_count=0,
-        instruction=ins, render_hw=render_hw)
+    return WorldState(agent_pos=(0, 8), agent_heading="N", objects=objs,
+                      step_count=0, render_hw=render_hw)
 
 
 class TestRender:
@@ -337,8 +340,7 @@ class TestRender:
                            position=(4, 8)),)
         base = _blank_state()
         state = dataclasses.replace(base, agent_pos=(10, 8),
-                                    agent_heading="N", objects=objs,
-                                    correct_ids=frozenset([0]))
+                                    agent_heading="N", objects=objs)
         img = render(state).image.data
         np.testing.assert_array_equal(img, img[:, :, ::-1])
         assert (img != img[0, 0, 0]).any()  # the object is actually drawn
@@ -350,8 +352,7 @@ class TestRender:
             objs = (ObjectSpec(color="blue", shape="pillar", size="short",
                                position=(10 - dist, 8)),)
             state = dataclasses.replace(base, agent_pos=(10, 8),
-                                        agent_heading="N", objects=objs,
-                                        correct_ids=frozenset([0]))
+                                        agent_heading="N", objects=objs)
             img = render(state).image.data
             cols = np.where((img != 0.5).any(axis=(0, 2)))[0]
             return cols.size
@@ -368,8 +369,7 @@ class TestRender:
             objs = (ObjectSpec(color="red", shape="pillar", size=size,
                                position=(4, 8)),)
             state = dataclasses.replace(base, agent_pos=(10, 8),
-                                        agent_heading="N", objects=objs,
-                                        correct_ids=frozenset([0]))
+                                        agent_heading="N", objects=objs)
             img = render(state).image.data
             rows = np.where((img != 0.5).any(axis=(0, 2)))[0]
             return rows.size
@@ -383,8 +383,7 @@ class TestRender:
         far = ObjectSpec(color="green", shape="pillar", size="tall",
                          position=(3, 8))
         state = dataclasses.replace(base, agent_pos=(10, 8),
-                                    agent_heading="N", objects=(far, near),
-                                    correct_ids=frozenset([0]))
+                                    agent_heading="N", objects=(far, near))
         img = render(state).image.data
         center = img[:, 24, 32]
         assert center[0] > center[1]  # red wins the shared pixels
@@ -396,8 +395,7 @@ class TestRender:
             objs = (ObjectSpec(color="red", shape="pillar", size="tall",
                                position=(4, col)),)
             state = dataclasses.replace(base, agent_pos=(10, 8),
-                                        agent_heading="N", objects=objs,
-                                        correct_ids=frozenset([0]))
+                                        agent_heading="N", objects=objs)
             img = render(state).image.data
             cols = np.where((img != 0.5).any(axis=(0, 1)))[0]
             return cols.mean()

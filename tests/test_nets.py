@@ -709,7 +709,8 @@ class TestModelStep:
             out = model_step(g, params, small_config, x_l, obs.image, att)
             att = out.next_attention_state
             np.testing.assert_array_equal(att.C.data, c0)
-            state, obs = gridnav.step(state, "turn_left")
+            state, _, _ = gridnav.advance(state, "turn_left")
+            obs = gridnav.render(state)
 
     def test_attended_maps_exposed(self, small_config, corpus):
         params = init_params(small_config, 14)
@@ -747,7 +748,9 @@ class TestModelStep:
                              application=application)
         params = init_params(config, 0)
         ins = corpus.train[0]
-        images = [gridnav.reset(seed, "hard", ins)[1].image for seed in (1, 2)]
+        hw = (config.render_h, config.render_w)
+        images = [gridnav.reset(seed, "hard", ins, render_hw=hw)[1].image
+                  for seed in (1, 2)]
         assert not np.array_equal(images[0].data, images[1].data)
         probs = []
         for image in images:
@@ -767,7 +770,8 @@ class TestTapeBudget:
     def test_model_step_nodes(self, vocab, corpus):
         config = ModelConfig(vocab=vocab)
         params = init_params(config, 16)
-        _, obs = gridnav.reset(3, "easy", corpus.train[3])
+        _, obs = gridnav.reset(3, "easy", corpus.train[3],
+                               render_hw=(config.render_h, config.render_w))
         g = Graph()
         model_step(g, params, config, Tensor(np.zeros(config.l)), obs.image,
                    initial_attention_state(config))
