@@ -5,18 +5,23 @@ graph, backpropagate policy + value + entropy losses, then apply a globally
 clipped, adaptively scaled update to the shared parameters. Every read and
 write of the shared parameters holds the optimizer lock, so a worker never
 sees an update half applied. Workers claim each frame from the
-``Collector`` before they play it, and report updates, episode ends and
-failures to it, under its own lock; it keeps the run totals and the log and
-decides when the run stops, so a run trains exactly its frame budget. No
-lock is taken while another is held: the checkpoint callback, which takes
-the optimizer lock, runs after the collector lock is released.
-``mode="sync"`` runs one worker inline and is bit-for-bit reproducible.
+``Collector`` before they play it, and report updates and episode ends to
+it, under its own lock; it keeps the run totals and the log (per-step means
+of the losses) and decides when the run stops, so a run trains exactly its
+frame budget. No lock is taken while another is held: the checkpoint
+callback, which takes the optimizer lock, runs after the collector lock is
+released.
+
+Every run's workers are threads of one pool, a single worker included; a
+worker's exception comes back through its future and is re-raised by
+``train``. A one-worker run is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,7 +53,9 @@ class TrainerConfig:
     grad_clip_norm: float = 40.0
     learning_rate: float = 1e-3
     workers: int = 1
-    mode: str = "sync"  # sync | async
+    # sync | async; only checks that sync has one worker (workers are pool
+    # threads either way), kept because bench/run.py pins it
+    mode: str = "sync"
     rmsprop_alpha: float = 0.99
     rmsprop_eps: float = 1e-8
     max_frames: int = 200_000
@@ -62,6 +69,13 @@ class TrainerConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
+        for name in ("grad_clip_norm", "entropy_coef", "value_coef"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 <= self.early_stop_accuracy <= 1.0:
+            raise ValueError("early_stop_accuracy must be in [0, 1]")
         if self.log_every_episodes < 1:
             raise ValueError("log_every_episodes must be >= 1")
         for name in ("max_frames", "max_episodes", "checkpoint_every_episodes"):
@@ -144,7 +158,6 @@ class SharedOptimizerState:
     def __init__(self, params: Params):
         self.square_avg = {name: np.zeros_like(t.data)
                            for name, t in params.items()}
-        self.step_count = 0
         self.skipped = 0
         self.lock = threading.Lock()
 
@@ -176,7 +189,6 @@ def worker_update(shared: Params, opt: SharedOptimizerState,
             sq *= alpha
             sq += (1.0 - alpha) * grad * grad
             shared[name].data -= lr * grad / (np.sqrt(sq) + eps)
-        opt.step_count += 1
     return True
 
 
@@ -200,7 +212,6 @@ class Collector:
         self.loss_sums = [0.0, 0.0, 0.0]
         self.loss_count = 0
         self.rows: list[dict] = []
-        self.error: Optional[BaseException] = None
 
     def take_frame(self) -> bool:
         """Claim one frame of the budget; False once the run has stopped.
@@ -233,13 +244,6 @@ class Collector:
                 and self.config.checkpoint_every_episodes > 0
                 and episodes % self.config.checkpoint_every_episodes == 0):
             self.checkpoint_cb(episodes)
-
-    def fail(self, error: BaseException) -> None:
-        with self.lock:
-            # the first failure wins; the others stop at their next check
-            if self.error is None:
-                self.error = error
-        self.stop_event.set()
 
     def _emit_row(self) -> None:
         n = max(1, self.loss_count)
@@ -328,8 +332,9 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         worker_update(shared, opt, grads, tconf)
         with opt.lock:
             local.load_values(shared)
-        collector.add_update(policy_loss.item(), value_loss.item(),
-                             entropy.item())
+        n = len(rollout)
+        collector.add_update(policy_loss.item() / n, value_loss.item() / n,
+                             entropy.item() / n)
 
 
 @dataclass
@@ -346,11 +351,11 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the final shared parameters. ``checkpoint_cb`` runs on the worker
-    that ended the episode (the calling thread in sync mode, a worker
-    thread in async mode) and holds no lock while it runs. If an async
+    plus the final shared parameters. Every worker, the one of a sync run
+    too, is a thread of one pool. ``checkpoint_cb`` runs on the worker
+    thread that ended the episode and holds no lock while it runs. If a
     worker raises, a checkpoint callback included, the other workers are
-    stopped and joined, and its exception is re-raised here."""
+    stopped and joined, and the first exception is re-raised here."""
     corpus = gridnav.build_corpus(env.corpus_seed)
     shared = init_params(mconf, seed)
     opt = SharedOptimizerState(shared)
@@ -365,35 +370,19 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
     collector = Collector(tconf, checkpoint_cb=save_cb)
 
     # a fully zero budget trains nothing: empty log, initial parameters kept
-    has_budget = tconf.max_frames > 0 or tconf.max_episodes > 0
-    if has_budget:
-        if tconf.mode == "sync":
-            _worker_loop(0, shared, opt, tconf, mconf, env, seed, collector,
-                         corpus.train)
-        else:
-            def run_worker(wid: int) -> None:
-                try:
-                    _worker_loop(wid, shared, opt, tconf, mconf, env, seed,
-                                 collector, corpus.train)
-                except BaseException as exc:
-                    collector.fail(exc)
-
-            threads = [threading.Thread(target=run_worker, args=(wid,),
-                                        daemon=True)
+    if tconf.max_frames > 0 or tconf.max_episodes > 0:
+        with ThreadPoolExecutor(tconf.workers) as pool:
+            # looked up at call time: bench/tracing.py swaps _worker_loop
+            futures = [pool.submit(_worker_loop, wid, shared, opt, tconf, mconf,
+                                   env, seed, collector, corpus.train)
                        for wid in range(tconf.workers)]
-            for t in threads:
-                t.start()
             try:
-                for t in threads:
-                    t.join()
+                for future in as_completed(futures):
+                    future.result()
             finally:
-                # also when the join is interrupted: no worker may go on
-                # training after train() returns
+                # also after a failure or an interrupted wait: no worker may
+                # go on training after train() returns
                 collector.stop_event.set()
-                for t in threads:
-                    t.join()
-            if collector.error is not None:
-                raise collector.error
 
     return TrainResult(rows=collector.rows, params=shared,
                        episodes=collector.episodes, frames=collector.frames,

@@ -409,6 +409,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "gradcheck":
+        if args.cases < 1:
+            parser.error("--cases must be >= 1")
         return 0 if cmd_gradcheck(args.seed, cases_per_op=args.cases) else 1
 
     config = load_config(args.config)

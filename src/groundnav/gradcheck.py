@@ -211,6 +211,8 @@ def case(op: str, rng) -> tuple[list[np.ndarray], Callable]:
 def check_op(op: str, seed: int = 0, cases: int = 100) -> float:
     """Worst relative error of ``op`` over ``cases`` random cases, every
     operand entry checked."""
+    if cases < 1:
+        raise ValueError(f"cases must be >= 1, got {cases}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _op_tag(op)]))
     worst = 0.0
     for _ in range(cases):

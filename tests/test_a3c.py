@@ -185,7 +185,6 @@ class TestWorkerUpdate:
                            TrainerConfig())
         assert not ok
         assert opt.skipped == 1
-        assert opt.step_count == 0
         np.testing.assert_array_equal(params["w"].data, before)
 
     def test_quadratic_objective_decreases(self):
@@ -199,14 +198,6 @@ class TestWorkerUpdate:
         worker_update(params, opt, {"x": grad}, config)
         f1 = (params["x"].data[0] - 3.0) ** 2
         assert f1 < f0
-
-    def test_step_counter_increments(self):
-        params = self._params()
-        opt = SharedOptimizerState(params)
-        for _ in range(7):
-            worker_update(params, opt, {"w": np.ones(2), "b": np.ones(1)},
-                          TrainerConfig())
-        assert opt.step_count == 7
 
 
 def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
@@ -352,9 +343,11 @@ class TestTrainLoop:
                                          workers=2), mconf, env, seed)
             assert result.frames == 400, seed
 
-    def test_async_worker_failure_raised(self, tiny_model, monkeypatch):
-        # one worker fails mid-run; the run must stop and report it, not
-        # finish its budget on the surviving worker
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_worker_failure_raised(self, tiny_model, monkeypatch, mode,
+                                   workers):
+        # a worker fails mid-run; the run must stop and re-raise the worker's
+        # own exception, not finish its budget on a surviving worker
         _, mconf = tiny_model
         advance = gridnav.advance
         calls = [0]
@@ -368,13 +361,14 @@ class TestTrainLoop:
             return advance(state, action)
 
         monkeypatch.setattr(gridnav, "advance", failing_advance)
-        tconf = TrainerConfig(max_frames=400, mode="async", workers=2)
+        tconf = TrainerConfig(max_frames=400, mode=mode, workers=workers)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         with pytest.raises(RuntimeError, match="advance failed"):
             train(tconf, mconf, env, seed=5)
         assert calls[0] < 400
 
-    def test_async_main_thread_failure_stops_workers(self, tiny_model):
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_checkpoint_failure_stops_workers(self, tiny_model, mode, workers):
         # a checkpoint callback that raises ends train(); no worker thread
         # may outlive it and go on training the shared parameters
         _, mconf = tiny_model
@@ -383,18 +377,27 @@ class TestTrainLoop:
             raise OSError("checkpoint failed")
 
         before = set(threading.enumerate())
-        tconf = TrainerConfig(max_frames=10 ** 6, mode="async", workers=2,
+        tconf = TrainerConfig(max_frames=10 ** 6, mode=mode, workers=workers,
                               checkpoint_every_episodes=1)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         with pytest.raises(OSError, match="checkpoint failed"):
             train(tconf, mconf, env, seed=5, checkpoint_cb=failing_checkpoint)
         assert [t for t in threading.enumerate() if t not in before] == []
 
-    def test_update_accounting(self, tiny_model):
+    def test_update_accounting(self, tiny_model, monkeypatch):
         # every worker cycle applies exactly one update
         _, mconf = tiny_model
         from groundnav.a3c import Collector, _worker_loop
         from groundnav.nets import init_params
+
+        calls = [0]
+        update = a3c.worker_update
+
+        def counted_update(*args):
+            calls[0] += 1
+            return update(*args)
+
+        monkeypatch.setattr(a3c, "worker_update", counted_update)
 
         tconf = TrainerConfig(max_frames=400)
         shared = init_params(mconf, 2)
@@ -404,7 +407,18 @@ class TestTrainLoop:
         _worker_loop(0, shared, opt, tconf, mconf,
                      EnvSettings("easy", 7), 2, collector, corpus.train)
         expected_updates = (collector.frames + tconf.n_steps - 1) // tconf.n_steps
-        assert opt.step_count + opt.skipped == expected_updates
+        assert calls[0] == expected_updates
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_log_per_step_means(self, tiny_model, seed):
+        # at a tiny learning rate the policy stays near uniform, so the
+        # logged entropy is one step's, ln 3, not a rollout's sum
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=400, learning_rate=1e-6,
+                              log_every_episodes=5)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed)
+        assert result.rows[0]["entropy"] == pytest.approx(math.log(3),
+                                                          abs=0.01)
 
     def test_sync_multi_worker_rejected(self):
         with pytest.raises(ValueError):

@@ -487,6 +487,12 @@ class TestGradCheckProperty:
         err = gradcheck.check_op(op, seed=123, cases=15)
         assert err < gradcheck.OP_TOL, f"{op}: {err}"
 
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_no_cases_rejected(self, cases):
+        # an empty case loop would report a worst error of 0, checking nothing
+        with pytest.raises(ValueError, match="cases"):
+            gradcheck.check_op("mul", cases=cases)
+
     def test_end_to_end_reaches_every_parameter(self):
         # the GRU, the embedding and every LSTM gate must reach the loss, or
         # the end-to-end check compares zero with zero

@@ -107,7 +107,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [
         ("log_every_episodes", 0), ("max_frames", -5), ("max_episodes", -1),
-        ("checkpoint_every_episodes", -1)])
+        ("checkpoint_every_episodes", -1), ("learning_rate", 0),
+        ("learning_rate", -1e-3), ("grad_clip_norm", -1), ("entropy_coef", -0.01),
+        ("value_coef", -0.5), ("early_stop_accuracy", -0.1),
+        ("early_stop_accuracy", 1.5)])
     def test_bad_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config_text(f"{key} = {value}\n")
@@ -390,6 +393,13 @@ class TestGradcheckCommand:
         assert not ok
         mul_line = [l for l in out.splitlines() if l.startswith("mul ")]
         assert mul_line and "FAIL" in mul_line[0]
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_no_cases_rejected(self, cases, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gradcheck", "--seed", "0", "--cases", cases])
+        assert exit_info.value.code == 2
+        assert "--cases must be >= 1" in capsys.readouterr().err
 
 
 class TestMainEntry:
