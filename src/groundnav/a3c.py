@@ -2,26 +2,21 @@
 
 Workers roll out up to ``n_steps`` frames against a private environment and
 graph, backpropagate policy + value + entropy losses, then apply a globally
-clipped, adaptively scaled update to the shared parameters. Every read and
-write of the shared parameters holds the optimizer lock, so a worker never
-sees an update half applied. Workers claim each frame from the
-``Collector`` before they play it, and report updates and episode ends to
-it, under its own lock; it keeps the run totals and the log (per-step means
-of the losses) and decides when the run stops, so a run trains exactly its
-frame budget. No lock is taken while another is held: the checkpoint
-callback, which takes the optimizer lock, runs after the collector lock is
-released.
-
-Every run's workers are threads of one pool, a single worker included; a
-worker's exception comes back through its future and is re-raised by
-``train``. A one-worker run is bit-for-bit reproducible.
+clipped, adaptively scaled update to the shared parameters. The workers take
+turns on the calling thread: each plays one rollout and applies its update,
+then the next worker goes. A worker reloads its private copy of the
+parameters only after its own update, so it plays on a copy that misses the
+other workers' updates since then: A3C's policy lag. Workers claim each frame
+from the ``Collector`` before they play it, and report updates and episode
+ends to it; it keeps the run totals and the log (per-step means of the
+losses) and decides when the run stops, so a run trains exactly its frame
+budget. Every run, with any number of workers, is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,8 +48,8 @@ class TrainerConfig:
     grad_clip_norm: float = 40.0
     learning_rate: float = 1e-3
     workers: int = 1
-    # sync | async; only checks that sync has one worker (workers are pool
-    # threads either way), kept because bench/run.py pins it
+    # sync | async; only checks that sync has one worker (workers take turns
+    # on the calling thread either way), kept because bench/run.py pins it
     mode: str = "sync"
     rmsprop_alpha: float = 0.99
     rmsprop_eps: float = 1e-8
@@ -97,6 +92,8 @@ class EnvSettings:
     def __post_init__(self):
         if self.difficulty not in gridnav.DIFFICULTIES:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
+        if self.corpus_seed < 0:
+            raise ValueError("corpus_seed must be >= 0")
 
 
 @dataclass
@@ -159,6 +156,7 @@ class SharedOptimizerState:
         self.square_avg = {name: np.zeros_like(t.data)
                            for name, t in params.items()}
         self.skipped = 0
+        # nothing contends for it; kept because bench/tracing.py times it
         self.lock = threading.Lock()
 
 
@@ -171,8 +169,7 @@ def worker_update(shared: Params, opt: SharedOptimizerState,
     for grad in grads.values():
         sq_sum += float(np.dot(grad.ravel(), grad.ravel()))
     if not np.isfinite(sq_sum):
-        with opt.lock:
-            opt.skipped += 1
+        opt.skipped += 1
         return False
     norm = np.sqrt(sq_sum)
     scale = 1.0
@@ -197,15 +194,13 @@ def worker_update(shared: Params, opt: SharedOptimizerState,
 # --------------------------------------------------------------------------
 
 class Collector:
-    """Every worker reports here directly; each report takes ``lock``, so
-    reports from several threads apply one at a time."""
+    """Every worker reports here directly, in turn."""
 
     def __init__(self, config: TrainerConfig,
                  checkpoint_cb: Optional[Callable[[int], None]] = None):
         self.config = config
         self.checkpoint_cb = checkpoint_cb
-        self.lock = threading.Lock()
-        self.stop_event = threading.Event()
+        self.stopped = False
         self.episodes = 0
         self.frames = 0
         self.recent = deque(maxlen=100)
@@ -216,34 +211,30 @@ class Collector:
     def take_frame(self) -> bool:
         """Claim one frame of the budget; False once the run has stopped.
         The frame that uses up a positive ``max_frames`` stops the run."""
-        with self.lock:
-            if self.stop_event.is_set():
-                return False
-            self.frames += 1
-            if 0 < self.config.max_frames <= self.frames:
-                self.stop_event.set()
-            return True
+        if self.stopped:
+            return False
+        self.frames += 1
+        if 0 < self.config.max_frames <= self.frames:
+            self.stopped = True
+        return True
 
     def add_update(self, policy_loss: float, value_loss: float,
                    entropy: float) -> None:
-        with self.lock:
-            for i, loss in enumerate((policy_loss, value_loss, entropy)):
-                self.loss_sums[i] += loss
-            self.loss_count += 1
+        for i, loss in enumerate((policy_loss, value_loss, entropy)):
+            self.loss_sums[i] += loss
+        self.loss_count += 1
 
     def end_episode(self, reward: float) -> None:
-        with self.lock:
-            self.episodes += 1
-            episodes = self.episodes
-            self.recent.append(reward)
-            if episodes % self.config.log_every_episodes == 0:
-                self._emit_row()
-            if 0 < self.config.max_episodes <= episodes:
-                self.stop_event.set()
+        self.episodes += 1
+        self.recent.append(reward)
+        if self.episodes % self.config.log_every_episodes == 0:
+            self._emit_row()
+        if 0 < self.config.max_episodes <= self.episodes:
+            self.stopped = True
         if (self.checkpoint_cb is not None
                 and self.config.checkpoint_every_episodes > 0
-                and episodes % self.config.checkpoint_every_episodes == 0):
-            self.checkpoint_cb(episodes)
+                and self.episodes % self.config.checkpoint_every_episodes == 0):
+            self.checkpoint_cb(self.episodes)
 
     def _emit_row(self) -> None:
         n = max(1, self.loss_count)
@@ -258,7 +249,7 @@ class Collector:
         if (self.config.early_stop_accuracy > 0
                 and len(self.recent) == self.recent.maxlen
                 and accuracy >= self.config.early_stop_accuracy):
-            self.stop_event.set()
+            self.stopped = True
 
 
 # --------------------------------------------------------------------------
@@ -269,13 +260,13 @@ def policy_entropy(g: Graph, probs: Tensor) -> Tensor:
     return g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
 
 
-def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
-                 tconf: TrainerConfig, mconf: ModelConfig,
-                 env: EnvSettings, seed: int, collector: Collector,
-                 train_split) -> None:
+def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
+            tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
+            seed: int, collector: Collector, train_split):
+    """One worker's turns: each ``next`` plays one rollout, which ends early
+    when the run stops, and applies its update."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + worker_id]))
-    with opt.lock:
-        local = shared.copy()
+    local = shared.copy()
     render_hw = (mconf.render_h, mconf.render_w)
 
     def new_episode():
@@ -288,7 +279,7 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
     instruction, state, obs = new_episode()
     att = initial_attention_state(mconf)
 
-    while not collector.stop_event.is_set():
+    while True:
         g = Graph()
         x_l = encode_instruction(g, local, mconf, instruction.tokens)
         # detach the recurrent state at the segment boundary
@@ -315,8 +306,7 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
             else:
                 obs = gridnav.render(state)
 
-        if not rollout:
-            break
+        # a turn starts only while the run goes on, so the rollout has a frame
         bootstrap = 0.0
         if not rollout[-1].done:
             peek = model_step(g, local, mconf, x_l, obs.image, att)
@@ -330,11 +320,25 @@ def _worker_loop(worker_id: int, shared: Params, opt: SharedOptimizerState,
         grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                  for name, t in local.items()}
         worker_update(shared, opt, grads, tconf)
-        with opt.lock:
-            local.load_values(shared)
+        local.load_values(shared)
         n = len(rollout)
         collector.add_update(policy_loss.item() / n, value_loss.item() / n,
                              entropy.item() / n)
+        yield
+
+
+def _worker_loop(shared: Params, opt: SharedOptimizerState,
+                 tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
+                 seed: int, collector: Collector, train_split) -> None:
+    """Give the workers their turns, in worker order, until the collector
+    stops the run."""
+    workers = [_worker(wid, shared, opt, tconf, mconf, env, seed, collector,
+                       train_split) for wid in range(tconf.workers)]
+    while True:
+        for worker in workers:
+            if collector.stopped:
+                return
+            next(worker)
 
 
 @dataclass
@@ -351,38 +355,23 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the final shared parameters. Every worker, the one of a sync run
-    too, is a thread of one pool. ``checkpoint_cb`` runs on the worker
-    thread that ended the episode and holds no lock while it runs. If a
-    worker raises, a checkpoint callback included, the other workers are
-    stopped and joined, and the first exception is re-raised here."""
+    plus the final shared parameters. Every worker runs on the calling
+    thread, and so does ``checkpoint_cb``; an exception in either ends the
+    run and propagates from here."""
     corpus = gridnav.build_corpus(env.corpus_seed)
     shared = init_params(mconf, seed)
     opt = SharedOptimizerState(shared)
 
     def save_cb(episodes: int) -> None:
-        if checkpoint_cb is None:
-            return
-        with opt.lock:
-            snapshot = shared.copy()
-        checkpoint_cb(episodes, snapshot)
+        checkpoint_cb(episodes, shared.copy())
 
-    collector = Collector(tconf, checkpoint_cb=save_cb)
+    collector = Collector(tconf, None if checkpoint_cb is None else save_cb)
 
     # a fully zero budget trains nothing: empty log, initial parameters kept
     if tconf.max_frames > 0 or tconf.max_episodes > 0:
-        with ThreadPoolExecutor(tconf.workers) as pool:
-            # looked up at call time: bench/tracing.py swaps _worker_loop
-            futures = [pool.submit(_worker_loop, wid, shared, opt, tconf, mconf,
-                                   env, seed, collector, corpus.train)
-                       for wid in range(tconf.workers)]
-            try:
-                for future in as_completed(futures):
-                    future.result()
-            finally:
-                # also after a failure or an interrupted wait: no worker may
-                # go on training after train() returns
-                collector.stop_event.set()
+        # looked up at call time: bench/tracing.py swaps _worker_loop
+        _worker_loop(shared, opt, tconf, mconf, env, seed, collector,
+                     corpus.train)
 
     return TrainResult(rows=collector.rows, params=shared,
                        episodes=collector.episodes, frames=collector.frames,

@@ -54,8 +54,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be one or more integers >= 0")
 
     def model_config(self, corpus: Corpus) -> ModelConfig:
         vocab = nets.build_vocab(corpus.train + corpus.test)
@@ -89,7 +89,7 @@ def _parse_value(name: str, raw: str, default):
     raw = raw.strip()
     if isinstance(default, bool):
         if raw.lower() not in _BOOL_WORDS:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+            raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
     if isinstance(default, int):
         return int(raw)
@@ -127,8 +127,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in sections:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         section = sections[key]
-        values[section][key] = _parse_value(
-            key, val, _lookup(defaults, key, section))
+        try:
+            values[section][key] = _parse_value(
+                key, val, _lookup(defaults, key, section))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     parts = {section: dataclasses.replace(getattr(defaults, section), **kv)
              for section, kv in values.items() if section is not None}
     return dataclasses.replace(defaults, **values[None], **parts)
@@ -408,6 +411,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "gradcheck":
         if args.cases < 1:
             parser.error("--cases must be >= 1")

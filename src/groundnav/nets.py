@@ -65,6 +65,11 @@ class ModelConfig:
             raise ValueError(f"unknown application {self.application!r}")
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
+        for name in ("d", "l", "embed_dim", "hidden", "render_h", "render_w"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if any(v < 1 for spec in self.conv_specs for v in spec):
+            raise ValueError("conv_specs entries must be >= 1")
         if self.conv_specs[-1][0] != self.d:
             raise ValueError("last conv layer must emit d channels")
         if self.feat_h < 1 or self.feat_w < 1:

@@ -110,10 +110,27 @@ class TestConfigParsing:
         ("checkpoint_every_episodes", -1), ("learning_rate", 0),
         ("learning_rate", -1e-3), ("grad_clip_norm", -1), ("entropy_coef", -0.01),
         ("value_coef", -0.5), ("early_stop_accuracy", -0.1),
-        ("early_stop_accuracy", 1.5)])
+        ("early_stop_accuracy", 1.5), ("seeds", "1,-2"), ("corpus_seed", -1)])
     def test_bad_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", 0), ("l", 0), ("embed_dim", 0), ("hidden", 0), ("render_h", -1),
+        ("render_w", 0), ("conv_specs", "8x4x0,12x3x2,16x2x1"),
+        ("conv_specs", "0x4x4,12x3x2,16x2x1"),
+        ("conv_specs", "8x0x4,12x3x2,16x2x1")])
+    def test_bad_geometry_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} .*>= 1"):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_conversion_error_names_line_and_key(self):
+        with pytest.raises(ValueError,
+                           match=r"^line 3: hidden: invalid literal for int"):
+            parse_config_text("# comment\nd = 16\nhidden = 1.5\n")
+        with pytest.raises(ValueError,
+                           match="^line 1: forget_gate_sees_input: expected"):
+            parse_config_text("forget_gate_sees_input = maybe\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
@@ -224,9 +241,12 @@ class TestTrain:
             assert (loaded[name].data == fresh[name].data).all()
         assert artifacts["checkpoints"] == [str(tmp_path / "seed1" / "checkpoint.bin")]
 
-    def test_sync_run_reproducible(self, tiny_config, tmp_path):
-        cmd_train(tiny_config, tmp_path / "a")
-        cmd_train(tiny_config, tmp_path / "b")
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_run_reproducible(self, tmp_path, mode, workers):
+        config = parse_config_text(
+            TINY_CONFIG + f"mode = {mode}\nworkers = {workers}\n")
+        cmd_train(config, tmp_path / "a")
+        cmd_train(config, tmp_path / "b")
         for rel in ("seed1/train_log.csv", "resolved.cfg", "corpus.txt"):
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes(), rel
@@ -432,6 +452,25 @@ class TestMainEntry:
                 cli.main([command, "--config", str(cfg),
                           "--out", str(tmp_path / "out"), "--seed", "5"])
             assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "visualize", "gradcheck"])
+    def test_negative_seed_rejected(self, command, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG)
+        args = [] if command == "gradcheck" else [
+            "--config", str(cfg), "--checkpoint", str(tmp_path / "none.bin")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *args, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    def test_train_negative_seed_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "seeds = 1,-1\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="seeds"):
+            cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
     def test_eval_episodes_below_one_rejected(self, tmp_path):
         # rejected before the checkpoint is read, so none is needed

@@ -105,6 +105,14 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(vocab=vocab, application="bilinear")
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("l", 0), ("embed_dim", -1), ("hidden", 0), ("render_h", 0),
+        ("render_w", -4), ("conv_specs", ((8, 4, 0), (12, 3, 2), (16, 2, 1))),
+        ("conv_specs", ((8, 4, 4), (0, 3, 2), (16, 2, 1)))])
+    def test_non_positive_geometry_rejected(self, vocab, field, value):
+        with pytest.raises(ValueError, match=f"{field} .*>= 1"):
+            ModelConfig(vocab=vocab, **{field: value})
+
     def test_vocab_reserves_unk(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab=("go", "to"))
