@@ -2,19 +2,20 @@
 
 Workers roll out up to ``n_steps`` frames against a private environment and
 graph, backpropagate policy + value + entropy losses, then apply a globally
-clipped, adaptively scaled update to the shared parameters. The workers take
-turns on the calling thread: each plays one rollout and applies its update,
-then the next worker goes. A worker reloads its private copy of the
-parameters only after its own update, so it plays on a copy that misses the
-other workers' updates since then: A3C's policy lag. Workers claim each frame
-from the ``Collector`` before they play it, and report updates and episode
-ends to it; it keeps the run totals and the log (per-step means of the
-losses) and decides when the run stops, so a run trains exactly its frame
-budget. Every run, with any number of workers, is bit-for-bit reproducible.
+clipped, adaptively scaled update to the one shared parameter set. The
+workers take turns on the calling thread: each plays one rollout on the
+current parameters and applies its update, then the next worker goes, so
+every gradient is applied to the parameters it was computed on. Workers
+claim each frame from the ``Collector`` before they play it, and report
+updates and episode ends to it; it keeps the run totals and the log
+(per-step means of the losses) and decides when the run stops, so a run
+trains exactly its frame budget. Every run, with any number of workers, is
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -237,7 +238,8 @@ class Collector:
             self.checkpoint_cb(self.episodes)
 
     def _emit_row(self) -> None:
-        n = max(1, self.loss_count)
+        # a window with no update has no losses to average: NaN, not 0.0
+        n = self.loss_count or math.nan
         accuracy = sum(1 for r in self.recent if r == gridnav.REWARD_CORRECT) \
             / max(1, len(self.recent))
         mean_reward = sum(self.recent) / max(1, len(self.recent))
@@ -266,7 +268,6 @@ def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
     """One worker's turns: each ``next`` plays one rollout, which ends early
     when the run stops, and applies its update."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + worker_id]))
-    local = shared.copy()
     render_hw = (mconf.render_h, mconf.render_w)
 
     def new_episode():
@@ -281,14 +282,14 @@ def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
 
     while True:
         g = Graph()
-        x_l = encode_instruction(g, local, mconf, instruction.tokens)
+        x_l = encode_instruction(g, shared, mconf, instruction.tokens)
         # detach the recurrent state at the segment boundary
         att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
         rollout: list[RolloutStep] = []
         for _ in range(tconf.n_steps):
             if not collector.take_frame():
                 break
-            out = model_step(g, local, mconf, x_l, obs.image, att)
+            out = model_step(g, shared, mconf, x_l, obs.image, att)
             p = out.probs.data
             action = int(rng.choice(len(p), p=p / p.sum()))
             log_prob = g.log(g.pick(out.probs, action))
@@ -301,7 +302,7 @@ def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
             if done:
                 collector.end_episode(reward)
                 instruction, state, obs = new_episode()
-                x_l = encode_instruction(g, local, mconf, instruction.tokens)
+                x_l = encode_instruction(g, shared, mconf, instruction.tokens)
                 att = initial_attention_state(mconf)
             else:
                 obs = gridnav.render(state)
@@ -309,18 +310,17 @@ def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
         # a turn starts only while the run goes on, so the rollout has a frame
         bootstrap = 0.0
         if not rollout[-1].done:
-            peek = model_step(g, local, mconf, x_l, obs.image, att)
+            peek = model_step(g, shared, mconf, x_l, obs.image, att)
             bootstrap = peek.value.item()
         returns = compute_returns(rollout, bootstrap, tconf.gamma)
         policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         loss = total_loss(g, policy_loss, value_loss, entropy, tconf)
         g.check_finite(loss)
-        local.zero_grads()
+        shared.zero_grads()
         g.backward(loss)
         grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for name, t in local.items()}
+                 for name, t in shared.items()}
         worker_update(shared, opt, grads, tconf)
-        local.load_values(shared)
         n = len(rollout)
         collector.add_update(policy_loss.item() / n, value_loss.item() / n,
                              entropy.item() / n)
@@ -355,17 +355,16 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the final shared parameters. Every worker runs on the calling
-    thread, and so does ``checkpoint_cb``; an exception in either ends the
-    run and propagates from here."""
+    plus the trained parameters. Every worker runs on the calling thread,
+    and so does ``checkpoint_cb``; an exception in either ends the run and
+    propagates from here. ``checkpoint_cb`` gets the live parameters, the
+    same object the result holds; they are valid for the call only, since
+    the next update changes them in place."""
     corpus = gridnav.build_corpus(env.corpus_seed)
     shared = init_params(mconf, seed)
     opt = SharedOptimizerState(shared)
-
-    def save_cb(episodes: int) -> None:
-        checkpoint_cb(episodes, shared.copy())
-
-    collector = Collector(tconf, None if checkpoint_cb is None else save_cb)
+    collector = Collector(tconf, None if checkpoint_cb is None else
+                          lambda episodes: checkpoint_cb(episodes, shared))
 
     # a fully zero budget trains nothing: empty log, initial parameters kept
     if tconf.max_frames > 0 or tconf.max_episodes > 0:

@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("eval_episodes must be >= 1")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be one or more integers >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds}")
 
     def model_config(self, corpus: Corpus) -> ModelConfig:
         vocab = nets.build_vocab(corpus.train + corpus.test)
@@ -236,10 +238,10 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> dict:
         seed_dir = out_dir / f"seed{seed}"
         seed_dir.mkdir(exist_ok=True)
 
-        def checkpoint_cb(episodes: int, snapshot: Params,
+        def checkpoint_cb(episodes: int, params: Params,
                           _dir=seed_dir) -> None:
             nets.save_params(_dir / f"checkpoint_ep{episodes}.bin",
-                             snapshot, mconf)
+                             params, mconf)
 
         result = train(config.trainer, mconf, config.env, seed,
                        checkpoint_cb=checkpoint_cb)

@@ -149,17 +149,6 @@ class Params:
         for t in self._tensors.values():
             t.grad = None
 
-    def copy(self) -> "Params":
-        out = {}
-        for name, t in self._tensors.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out[name] = c
-        return Params(out)
-
-    def load_values(self, other: "Params") -> None:
-        for name, t in self._tensors.items():
-            np.copyto(t.data, other[name].data)
-
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Declaration-ordered shape table implied by the configuration."""
@@ -424,23 +413,27 @@ def save_params(path, params: Params, config: ModelConfig) -> None:
 
 
 def load_params(path, config: ModelConfig) -> Params:
+    digest = config_digest(config).encode("ascii")
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+
+        def read(n: int, what: str) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:
+                raise ValueError(f"{path}: truncated {what}")
+            return raw
+
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a parameter checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (dlen,) = struct.unpack("<I", fh.read(4))
-        digest = fh.read(dlen).decode("ascii")
-        if digest != config_digest(config):
+        (dlen,) = struct.unpack("<I", read(4, "digest length"))
+        if dlen != len(digest) or read(dlen, "config digest") != digest:
             raise ValueError(f"{path}: checkpoint config digest mismatch")
         tensors: dict[str, Tensor] = {}
         for name, shape in param_shapes(config).items():
             n = int(np.prod(shape))
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise ValueError(f"{path}: truncated tensor {name}")
+            raw = read(n * 8, f"tensor {name}")
             data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             tensors[name] = Tensor(data, requires_grad=True)
         if fh.read(1):

@@ -414,6 +414,52 @@ class TestTrainLoop:
             train(tconf, mconf, env, seed=5, checkpoint_cb=failing_checkpoint)
         assert [t for t in threading.enumerate() if t not in before] == []
 
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_workers_play_on_the_returned_params(self, tiny_model, monkeypatch,
+                                                 mode, workers):
+        # every rollout, bootstrap and update runs on the one parameter set
+        # that train() returns; no worker plays on a private copy
+        _, mconf = tiny_model
+        model_step = a3c.model_step
+        seen = []
+
+        def recording_step(g, params, *args):
+            seen.append(params)
+            return model_step(g, params, *args)
+
+        monkeypatch.setattr(a3c, "model_step", recording_step)
+        tconf = TrainerConfig(max_frames=200, mode=mode, workers=workers)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=5)
+        assert len(seen) >= 200
+        assert all(params is result.params for params in seen)
+
+    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    def test_checkpoint_gets_the_returned_params(self, tiny_model, mode,
+                                                 workers):
+        _, mconf = tiny_model
+        seen = []
+        tconf = TrainerConfig(max_frames=400, mode=mode, workers=workers,
+                              checkpoint_every_episodes=2)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=5,
+                       checkpoint_cb=lambda episodes, params: seen.append(params))
+        assert seen
+        assert all(params is result.params for params in seen)
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_row_without_update_logs_nan_losses(self, tiny_model, seed):
+        # on these seeds the first hard episode ends before the first
+        # rollout is complete, so its row has no update to average
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=40, log_every_episodes=1)
+        result = train(tconf, mconf, EnvSettings("hard", 7), seed)
+        first = result.rows[0]
+        assert first["frames"] < tconf.n_steps
+        for key in ("policy_loss", "value_loss", "entropy"):
+            assert math.isnan(first[key]), key
+        for row in result.rows[1:]:
+            for key in ("policy_loss", "value_loss", "entropy"):
+                assert math.isfinite(row[key]), key
+
     def test_update_accounting(self, tiny_model, monkeypatch):
         # every worker turn applies exactly one update
         _, mconf = tiny_model
@@ -542,6 +588,18 @@ class TestCollector:
         assert collector.rows[0]["episodes"] == 10
         assert collector.rows[1]["episodes"] == 20
         assert 0.0 <= collector.rows[0]["accuracy"] <= 1.0
+
+    def test_window_without_update_logs_nan(self):
+        collector = Collector(TrainerConfig(log_every_episodes=1))
+        collector.end_episode(0.0)
+        collector.add_update(0.5, 1.0, 1.5)
+        collector.add_update(1.5, 3.0, 0.5)
+        collector.end_episode(0.0)
+        first, second = collector.rows
+        for key in ("policy_loss", "value_loss", "entropy"):
+            assert math.isnan(first[key]), key
+        assert (second["policy_loss"], second["value_loss"],
+                second["entropy"]) == (1.0, 2.0, 1.0)
 
     def test_frame_budget_stops(self):
         config = TrainerConfig(max_frames=100)

@@ -110,7 +110,8 @@ class TestConfigParsing:
         ("checkpoint_every_episodes", -1), ("learning_rate", 0),
         ("learning_rate", -1e-3), ("grad_clip_norm", -1), ("entropy_coef", -0.01),
         ("value_coef", -0.5), ("early_stop_accuracy", -0.1),
-        ("early_stop_accuracy", 1.5), ("seeds", "1,-2"), ("corpus_seed", -1)])
+        ("early_stop_accuracy", 1.5), ("seeds", "1,-2"), ("seeds", "1,1"),
+        ("seeds", "2,3,2"), ("corpus_seed", -1)])
     def test_bad_count_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             parse_config_text(f"{key} = {value}\n")
@@ -467,6 +468,14 @@ class TestMainEntry:
     def test_train_negative_seed_writes_nothing(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TINY_CONFIG + "seeds = 1,-1\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="seeds"):
+            cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
+    def test_train_repeated_seeds_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_CONFIG + "seeds = 1,1\n")
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="seeds"):
             cli.main(["train", "--config", str(cfg), "--out", str(out)])

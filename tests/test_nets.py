@@ -690,6 +690,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_params(path, small_config)
 
+    # 8: after the magic; 10: inside the version; 14: inside the digest
+    # length; 40: inside the digest; 83: inside the first tensor
+    @pytest.mark.parametrize("cut", [8, 10, 14, 40, 83, -1])
+    def test_truncated_file_rejected(self, small_config, tmp_path, cut):
+        path = tmp_path / "model.bin"
+        save_params(path, init_params(small_config, 0), small_config)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError) as excinfo:
+            load_params(path, small_config)
+        # the test's own path contains "truncated", so match the whole prefix
+        assert str(excinfo.value).startswith(f"{path}: truncated ")
+
     def test_digest_pinned(self, vocab):
         # checkpoints store this digest; a change to it orphans them
         assert config_digest(ModelConfig(vocab=vocab)) == (
