@@ -1,16 +1,19 @@
 """Advantage actor-critic trainer with n-step bootstrapped returns.
 
-Workers roll out up to ``n_steps`` frames against a private environment and
-graph, backpropagate policy + value + entropy losses, then apply a globally
-clipped, adaptively scaled update to the one shared parameter set. The
-workers take turns on the calling thread: each plays one rollout on the
-current parameters and applies its update, then the next worker goes, so
-every gradient is applied to the parameters it was computed on. Workers
-claim each frame from the ``Collector`` before they play it, and report
-updates and episode ends to it; it keeps the run totals and the log
-(per-step means of the losses) and decides when the run stops, so a run
-trains exactly its frame budget. Every run, with any number of workers, is
-bit-for-bit reproducible.
+The ``workers`` environments step in lockstep as one batch (A2C, Wu et al.,
+arXiv 1708.05144): each step is one batched forward on one tape, then each
+environment in worker order claims its frame from the ``Collector``, samples
+its action from its own random stream and advances. A rollout of up to
+``n_steps`` steps ends with one batched bootstrap forward, one backward of
+the policy + value + entropy losses summed over environments and steps, and
+one globally clipped, adaptively scaled update of the one parameter set, so
+every gradient is applied to the parameters it was computed on. One worker
+is the batch of one. The collector keeps the run totals and the log
+(per-frame means of the losses) and decides when the run stops, so a run
+trains exactly its frame and episode budgets: an environment that gets no
+frame, or whose turn comes after the run has stopped, ends its rollout at
+that step, bootstrapped from that step's value. Every run, with any number
+of workers, is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ class TrainerConfig:
     value_coef: float = 0.5
     grad_clip_norm: float = 40.0
     learning_rate: float = 1e-3
-    workers: int = 1
-    # sync | async; only checks that sync has one worker (workers take turns
-    # on the calling thread either way), kept because bench/run.py pins it
+    workers: int = 1  # environments stepped in lockstep as one batch
+    # sync | async; only checks that sync has one worker (every run steps its
+    # workers as one batch on the calling thread), kept because bench/run.py
+    # pins it
     mode: str = "sync"
     rmsprop_alpha: float = 0.99
     rmsprop_eps: float = 1e-8
@@ -99,33 +103,35 @@ class EnvSettings:
 
 @dataclass
 class RolloutStep:
+    """One step: scalars, or for a lockstep batch one entry per environment
+    (tensors of shape (B,), reward and done arrays)."""
     log_prob: Tensor
     value: Tensor
     entropy: Tensor
-    reward: float
-    done: bool
+    reward: float | np.ndarray
+    done: bool | np.ndarray
 
 
-def compute_returns(rollout: list[RolloutStep], bootstrap_value: float,
-                    gamma: float) -> list[float]:
+def compute_returns(rollout: list[RolloutStep], bootstrap_value,
+                    gamma: float) -> list:
     """Discounted returns R_t = r_t + gamma * R_{t+1}, computed backward;
-    a done flag cuts the recursion."""
+    a done flag cuts the recursion. For batched steps the bootstrap and
+    every return hold one value per environment."""
     if not rollout:
         raise ValueError("empty rollout")
     returns = [0.0] * len(rollout)
-    acc = float(bootstrap_value)
+    acc = bootstrap_value
     for i in range(len(rollout) - 1, -1, -1):
         step = rollout[i]
-        if step.done:
-            acc = 0.0
-        acc = step.reward + gamma * acc
+        acc = step.reward + gamma * np.where(step.done, 0.0, acc)
         returns[i] = acc
     return returns
 
 
 def compute_losses(g: Graph, rollout: list[RolloutStep],
-                   returns: list[float]) -> tuple[Tensor, Tensor, Tensor]:
-    """(policy_loss, value_loss, entropy) as graph scalars.
+                   returns: list) -> tuple[Tensor, Tensor, Tensor]:
+    """(policy_loss, value_loss, entropy) as graph scalars, summed over the
+    steps and, for batched steps, over the environments.
 
     The advantage R_t - V(s_t) enters the policy term as a constant, so no
     gradient flows into the critic through it.
@@ -134,13 +140,15 @@ def compute_losses(g: Graph, rollout: list[RolloutStep],
         raise ValueError("returns not aligned with rollout")
     policy_loss = value_loss = entropy = None
     for step, ret in zip(rollout, returns):
-        advantage = ret - step.value.item()
+        advantage = ret - step.value.data
         p_term = g.scale(step.log_prob, -advantage)
         diff = g.shift(step.value, -ret)
         v_term = g.mul(diff, diff)
         policy_loss = p_term if policy_loss is None else g.add(policy_loss, p_term)
         value_loss = v_term if value_loss is None else g.add(value_loss, v_term)
         entropy = step.entropy if entropy is None else g.add(entropy, step.entropy)
+    if policy_loss.data.ndim:  # sum the environments of a batch
+        return g.sum_all(policy_loss), g.sum_all(value_loss), g.sum_all(entropy)
     return policy_loss, value_loss, entropy
 
 
@@ -195,7 +203,7 @@ def worker_update(shared: Params, opt: SharedOptimizerState,
 # --------------------------------------------------------------------------
 
 class Collector:
-    """Every worker reports here directly, in turn."""
+    """Every environment of the batch reports here directly, in turn."""
 
     def __init__(self, config: TrainerConfig,
                  checkpoint_cb: Optional[Callable[[int], None]] = None):
@@ -255,64 +263,149 @@ class Collector:
 
 
 # --------------------------------------------------------------------------
-# Worker rollout loop
+# Lockstep rollouts
 # --------------------------------------------------------------------------
 
 def policy_entropy(g: Graph, probs: Tensor) -> Tensor:
-    return g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
+    """Entropy of a distribution, or of each row of a batch (B, n)."""
+    return g.scale(g.sum_all(g.mul(probs, g.log(probs)),
+                             batched=probs.data.ndim == 2), -1.0)
 
 
-def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
-            tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
-            seed: int, collector: Collector, train_split):
-    """One worker's turns: each ``next`` plays one rollout, which ends early
-    when the run stops, and applies its update."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + worker_id]))
-    render_hw = (mconf.render_h, mconf.render_w)
+class _Worker:
+    """One environment of the lockstep batch and the random stream that
+    draws its episodes and samples its actions."""
 
-    def new_episode():
-        ins = train_split[int(rng.integers(len(train_split)))]
-        env_seed = int(rng.integers(2 ** 31))
-        state, obs = gridnav.reset(env_seed, env.difficulty, ins,
-                                   render_hw=render_hw)
-        return ins, state, obs
+    def __init__(self, rng: np.random.Generator, env: EnvSettings,
+                 mconf: ModelConfig, train_split):
+        self.rng = rng
+        self.difficulty = env.difficulty
+        self.render_hw = (mconf.render_h, mconf.render_w)
+        self.split = train_split
+        self.new_episode()
 
-    instruction, state, obs = new_episode()
-    att = initial_attention_state(mconf)
+    def new_episode(self) -> None:
+        self.instruction = self.split[int(self.rng.integers(len(self.split)))]
+        env_seed = int(self.rng.integers(2 ** 31))
+        self.state, self.obs = gridnav.reset(env_seed, self.difficulty,
+                                             self.instruction,
+                                             render_hw=self.render_hw)
 
+    def sample(self, p: np.ndarray) -> int:
+        return int(self.rng.choice(len(p), p=p / p.sum()))
+
+
+def _rows(values: list):
+    """Per-environment values as the ops take them: a batch of one runs
+    unbatched, as its one value."""
+    return values[0] if len(values) == 1 else values
+
+
+def start_episodes(g: Graph, params: Params, mconf: ModelConfig, x_l: Tensor,
+                   att: AttentionState, rows: dict) -> tuple[Tensor,
+                                                             AttentionState]:
+    """The instruction encoding and attention state of a batch whose
+    ``rows`` (row -> instruction, in row order) start new episodes: their
+    instructions are encoded in one pass and their attention state is
+    reset; the other rows are kept as they are on the tape."""
+    batch = x_l.shape[0] if x_l.data.ndim == 2 else 1
+    new_x = encode_instruction(g, params, mconf,
+                               _rows([ins.tokens for ins in rows.values()]))
+    if len(rows) == batch:
+        return new_x, initial_attention_state(
+            mconf, None if batch == 1 else batch)
+    init = initial_attention_state(mconf)
+
+    def replace(t: Tensor, new: dict) -> Tensor:
+        parts = [new[b] if b in new else g.row(t, b) for b in range(batch)]
+        return g.reshape(g.concat(parts), t.shape)
+
+    x_l = replace(x_l, dict(zip(rows, [new_x] if len(rows) == 1 else
+                                [g.row(new_x, i) for i in range(len(rows))])))
+    return x_l, AttentionState(h=replace(att.h, dict.fromkeys(rows, init.h)),
+                               C=replace(att.C, dict.fromkeys(rows, init.C)))
+
+
+def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
+             mconf: ModelConfig, workers: list[_Worker], att: AttentionState,
+             collector: Collector):
+    """Play up to ``tconf.n_steps`` lockstep steps of ``workers`` on ``g``,
+    starting from the attention state ``att`` (detached here). Returns the
+    steps, the bootstrap values (None when every environment's last step
+    ended its episode) and the attention state to carry on."""
+    batch = len(workers)
+    x_l = encode_instruction(g, params, mconf,
+                             _rows([w.instruction.tokens for w in workers]))
+    att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
+    steps: list[RolloutStep] = []
     while True:
-        g = Graph()
-        x_l = encode_instruction(g, shared, mconf, instruction.tokens)
-        # detach the recurrent state at the segment boundary
-        att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
-        rollout: list[RolloutStep] = []
-        for _ in range(tconf.n_steps):
+        over = len(steps) == tconf.n_steps or collector.stopped
+        if over and np.all(steps[-1].done):
+            return steps, None, att
+        images = workers[0].obs.image if batch == 1 else \
+            Tensor(np.stack([w.obs.image.data for w in workers]))
+        out = model_step(g, params, mconf, x_l, images, att)
+        if over:
+            return steps, out.value.data, att
+        p = out.probs.data.reshape(batch, -1)
+        # a row that plays no frame keeps a log-probability that is finite
+        actions = p.argmax(axis=1).tolist()
+        rewards = np.zeros(batch)
+        dones = np.zeros(batch, dtype=bool)
+        restarts = {}
+        played = 0
+        for b, w in enumerate(workers):
             if not collector.take_frame():
                 break
-            out = model_step(g, shared, mconf, x_l, obs.image, att)
-            p = out.probs.data
-            action = int(rng.choice(len(p), p=p / p.sum()))
-            log_prob = g.log(g.pick(out.probs, action))
-            entropy = policy_entropy(g, out.probs)
-            state, reward, done = gridnav.advance(state, ACTIONS[action])
-            rollout.append(RolloutStep(
-                log_prob=log_prob, value=out.value, entropy=entropy,
-                reward=reward, done=done))
-            att = out.next_attention_state
-            if done:
+            actions[b] = w.sample(p[b])
+            w.state, reward, dones[b] = gridnav.advance(w.state,
+                                                        ACTIONS[actions[b]])
+            rewards[b] = reward
+            if dones[b]:
                 collector.end_episode(reward)
-                instruction, state, obs = new_episode()
-                x_l = encode_instruction(g, shared, mconf, instruction.tokens)
-                att = initial_attention_state(mconf)
+                w.new_episode()
+                restarts[b] = w.instruction
             else:
-                obs = gridnav.render(state)
+                w.obs = gridnav.render(w.state)
+            played += 1
+        log_prob = g.log(g.pick(out.probs, _rows(actions)))
+        entropy = policy_entropy(g, out.probs)
+        if played < batch:
+            # the run stopped in this step: each row that played no frame
+            # ends its rollout at the step before, bootstrapped from this
+            # step's value. As a done step whose reward is that value, its
+            # return is the value itself, so its advantage and value error
+            # are zero; its entropy is masked out.
+            idle = np.arange(batch) >= played
+            rewards[idle] = out.value.data[idle]
+            dones[idle] = True
+            entropy = g.scale(entropy, ~idle)
+        steps.append(RolloutStep(log_prob=log_prob, value=out.value,
+                                 entropy=entropy, reward=_rows(rewards),
+                                 done=_rows(dones)))
+        att = out.next_attention_state
+        if restarts:
+            x_l, att = start_episodes(g, params, mconf, x_l, att, restarts)
 
-        # a turn starts only while the run goes on, so the rollout has a frame
-        bootstrap = 0.0
-        if not rollout[-1].done:
-            peek = model_step(g, shared, mconf, x_l, obs.image, att)
-            bootstrap = peek.value.item()
-        returns = compute_returns(rollout, bootstrap, tconf.gamma)
+
+def _worker_loop(shared: Params, opt: SharedOptimizerState,
+                 tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
+                 seed: int, collector: Collector, train_split) -> None:
+    """Step the ``tconf.workers`` environments in lockstep, one rollout,
+    backward and update at a time, until the collector stops the run."""
+    workers = [_Worker(np.random.default_rng(
+        np.random.SeedSequence([seed, 1000 + wid])), env, mconf, train_split)
+        for wid in range(tconf.workers)]
+    att = initial_attention_state(
+        mconf, None if len(workers) == 1 else len(workers))
+    while not collector.stopped:
+        g = Graph()
+        frames = collector.frames
+        rollout, bootstrap, att = _rollout(g, shared, tconf, mconf, workers,
+                                           att, collector)
+        frames = collector.frames - frames
+        returns = compute_returns(rollout, 0.0 if bootstrap is None
+                                  else bootstrap, tconf.gamma)
         policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         loss = total_loss(g, policy_loss, value_loss, entropy, tconf)
         g.check_finite(loss)
@@ -321,24 +414,9 @@ def _worker(worker_id: int, shared: Params, opt: SharedOptimizerState,
         grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                  for name, t in shared.items()}
         worker_update(shared, opt, grads, tconf)
-        n = len(rollout)
-        collector.add_update(policy_loss.item() / n, value_loss.item() / n,
-                             entropy.item() / n)
-        yield
-
-
-def _worker_loop(shared: Params, opt: SharedOptimizerState,
-                 tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
-                 seed: int, collector: Collector, train_split) -> None:
-    """Give the workers their turns, in worker order, until the collector
-    stops the run."""
-    workers = [_worker(wid, shared, opt, tconf, mconf, env, seed, collector,
-                       train_split) for wid in range(tconf.workers)]
-    while True:
-        for worker in workers:
-            if collector.stopped:
-                return
-            next(worker)
+        collector.add_update(policy_loss.item() / frames,
+                             value_loss.item() / frames,
+                             entropy.item() / frames)
 
 
 @dataclass
@@ -355,11 +433,13 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
           checkpoint_cb: Optional[Callable[[int, Params], None]] = None,
           ) -> TrainResult:
     """Run the trainer to its frame/episode budget and return the log rows
-    plus the trained parameters. Every worker runs on the calling thread,
-    and so does ``checkpoint_cb``; an exception in either ends the run and
-    propagates from here. ``checkpoint_cb`` gets the live parameters, the
-    same object the result holds; they are valid for the call only, since
-    the next update changes them in place."""
+    plus the trained parameters. The ``tconf.workers`` environments step in
+    lockstep as one batch on the calling thread, and each rollout applies
+    one update of the gradient summed over its environments and steps.
+    ``checkpoint_cb`` runs on the calling thread too; an exception in it or
+    in a step ends the run and propagates from here. ``checkpoint_cb`` gets
+    the live parameters, the same object the result holds; they are valid
+    for the call only, since the next update changes them in place."""
     corpus = gridnav.build_corpus(env.corpus_seed)
     shared = init_params(mconf, seed)
     opt = SharedOptimizerState(shared)
@@ -397,6 +477,8 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
                  capture: bool = False) -> EpisodeResult:
     """Roll one episode; greedy mode takes the argmax action (ties to the
     lowest index)."""
+    if not greedy and rng is None:
+        raise ValueError("sampled playout needs an rng")
     state, obs = gridnav.reset(env_seed, difficulty, instruction,
                                render_hw=(mconf.render_h, mconf.render_w))
     g = Graph()
@@ -413,8 +495,6 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         if greedy:
             action = int(np.argmax(out.probs.data))
         else:
-            if rng is None:
-                raise ValueError("sampled playout needs an rng")
             p = out.probs.data
             action = int(rng.choice(len(p), p=p / p.sum()))
         state, reward, done = gridnav.advance(state, ACTIONS[action])

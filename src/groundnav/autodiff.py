@@ -19,6 +19,18 @@ instead: a graph owns an op output ``t`` when ``t.node`` is in range and
 ``nodes[t.node].output is t``. Ops reject operands that another graph owns,
 and ``backward`` rejects a loss this graph does not own.
 
+Batches: every op takes its operands with or without one leading batch
+axis B, and a batched call is one node for all B rows. Parameter operands
+(matvec and lstm_cell weights and biases, conv2d kernels, the bias of
+bias_add_channels) never carry the axis, and their gradient is summed over
+the rows. The other operands carry it together: a matvec input (B, n), an
+image batch (B, c, H, W), attention rows (B, d). An unbatched call computes
+and records exactly what it did before batches existed, and a batch of one
+row computes that row's values bit for bit. Where a rank does not show the
+axis, the call says it: ``sum_all(a, batched=True)`` keeps it, a reshape
+takes the batched shape, and the ``scale``/``shift`` constant and the
+``pick``/``row`` index are one value for every row or one per row.
+
 Finiteness: a leaf is checked once, when its ``Tensor`` is built, so a
 caller cannot put NaN or Inf on the tape. Op outputs are not checked as
 they are recorded; a caller checks the values it reads with
@@ -204,8 +216,9 @@ class Graph:
 
         return self._record("mul", (a, b), out, bwd)
 
-    def scale(self, a: Tensor, alpha: float) -> Tensor:
-        alpha = float(alpha)
+    def scale(self, a: Tensor, alpha) -> Tensor:
+        """``a * alpha``; alpha is one number, or one per row of a batch."""
+        alpha = _per_row(alpha, a, "scale")
         out = a.data * alpha
 
         def bwd(g):
@@ -213,8 +226,9 @@ class Graph:
 
         return self._record("scale", (a,), out, bwd)
 
-    def shift(self, a: Tensor, beta: float) -> Tensor:
-        out = a.data + float(beta)
+    def shift(self, a: Tensor, beta) -> Tensor:
+        """``a + beta``; beta is one number, or one per row of a batch."""
+        out = a.data + _per_row(beta, a, "shift")
 
         def bwd(g):
             return (g,)
@@ -224,19 +238,21 @@ class Graph:
     # -- linear algebra ---------------------------------------------------------
 
     def matvec(self, w: Tensor, v: Tensor, b: Tensor) -> Tensor:
-        """Affine map ``w @ v + b`` as one tape node: w (rows, n), v (n,),
-        b (rows,)."""
-        if w.data.ndim != 2 or v.data.ndim != 1:
-            raise ValueError("matvec expects a matrix and a vector")
-        if w.data.shape[1] != v.data.shape[0]:
+        """Affine map ``w @ v + b`` as one tape node: w (rows, n), b (rows,),
+        and v (n,), or a batch (B, n) that gives (B, rows)."""
+        if w.data.ndim != 2 or v.data.ndim not in (1, 2):
+            raise ValueError("matvec expects a matrix and a vector or a batch "
+                             "of vectors")
+        if w.data.shape[1] != v.data.shape[-1]:
             raise ValueError(f"matvec: {w.data.shape} x {v.data.shape}")
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(f"matvec: bias {b.data.shape} for {w.data.shape}")
-        out = w.data @ v.data
+        # v @ w.T runs the BLAS call of w @ v on an unbatched v
+        out = v.data @ w.data.T
         out += b.data
 
         def bwd(g):
-            return (g[:, None] * v.data, w.data.T @ g, g)
+            return (_outer_sum(g, v.data), g @ w.data, _row_sum(g))
 
         return self._record("matvec", (w, v, b), out, bwd)
 
@@ -245,8 +261,8 @@ class Graph:
     def lstm_cell(self, hx: Tensor, c_prev: Tensor, wf: Tensor, bf: Tensor,
                   wi: Tensor, bi: Tensor, wc: Tensor, bc: Tensor,
                   wo: Tensor, bo: Tensor) -> Tensor:
-        """One LSTM step as one tape node. Its output is (2, d): row 0 is
-        the new h and row 1 the new cell state c.
+        """One LSTM step as one tape node. Its output is (2, d), or (B, 2, d)
+        for a batch: row 0 is the new h and row 1 the new cell state c.
 
         hx (n,) is the gate input, the previous h first; c_prev is (d,).
         The input, candidate and output gates read all of hx through
@@ -263,10 +279,12 @@ class Graph:
         gradient is summed in their reverse-sweep order, so the node is
         bit-identical to that 14-node composition.
         """
-        if hx.data.ndim != 1 or c_prev.data.ndim != 1 or wf.data.ndim != 2:
-            raise ValueError("lstm_cell expects 1-D input and cell state and "
-                             "a 2-D forget weight")
-        d, n, nf = c_prev.data.size, hx.data.size, wf.data.shape[1]
+        if (hx.data.ndim not in (1, 2) or c_prev.data.ndim != hx.data.ndim
+                or hx.data.shape[:-1] != c_prev.data.shape[:-1]
+                or wf.data.ndim != 2):
+            raise ValueError("lstm_cell expects a 1-D input and cell state, or "
+                             "batches of one size, and a 2-D forget weight")
+        d, n, nf = c_prev.data.shape[-1], hx.data.shape[-1], wf.data.shape[1]
         if (wf.data.shape[0] != d or not 0 < nf <= n
                 or (wi.data.shape, wc.data.shape, wo.data.shape) != ((d, n),) * 3
                 or (bf.data.shape, bi.data.shape, bc.data.shape,
@@ -275,38 +293,39 @@ class Graph:
                 f"lstm_cell: input {hx.data.shape}, cell {c_prev.data.shape}, "
                 f"forget weight {wf.data.shape}, gate weight {wi.data.shape}")
         v = hx.data
-        vf = v[:nf]
-        zf = wf.data @ vf
+        vf = v[..., :nf]
+        zf = vf @ wf.data.T
         zf += bf.data
-        zi = wi.data @ v
+        zi = v @ wi.data.T
         zi += bi.data
-        zc = wc.data @ v
+        zc = v @ wc.data.T
         zc += bc.data
-        zo = wo.data @ v
+        zo = v @ wo.data.T
         zo += bo.data
         with np.errstate(over="ignore"):  # as in sigmoid
             f = 1.0 / (1.0 + np.exp(-zf))
             i = 1.0 / (1.0 + np.exp(-zi))
             o = 1.0 / (1.0 + np.exp(-zo))
         cbar = np.tanh(zc)
-        out = np.empty((2, d))
-        h, c = out
+        out = np.empty(v.shape[:-1] + (2, d))
+        h, c = out[..., 0, :], out[..., 1, :]
         np.multiply(f, c_prev.data, out=c)
         c += i * cbar
         tc = np.tanh(c)
         np.multiply(o, tc, out=h)
 
         def bwd(g):
-            gh = g[0]
-            gc = g[1] + gh * o * (1.0 - tc * tc)
+            gh = g[..., 0, :]
+            gc = g[..., 1, :] + gh * o * (1.0 - tc * tc)
             dzo = gh * tc * o * (1.0 - o)
             dzc = gc * i * (1.0 - cbar * cbar)
             dzi = gc * cbar * i * (1.0 - i)
             dzf = gc * c_prev.data * f * (1.0 - f)
-            ghx = wo.data.T @ dzo + wc.data.T @ dzc + wi.data.T @ dzi
-            ghx[:nf] += wf.data.T @ dzf
-            return (ghx, gc * f, dzf[:, None] * vf, dzf, dzi[:, None] * v, dzi,
-                    dzc[:, None] * v, dzc, dzo[:, None] * v, dzo)
+            ghx = dzo @ wo.data + dzc @ wc.data + dzi @ wi.data
+            ghx[..., :nf] += dzf @ wf.data
+            return (ghx, gc * f, _outer_sum(dzf, vf), _row_sum(dzf),
+                    _outer_sum(dzi, v), _row_sum(dzi), _outer_sum(dzc, v),
+                    _row_sum(dzc), _outer_sum(dzo, v), _row_sum(dzo))
 
         return self._record("lstm_cell", (hx, c_prev, wf, bf, wi, bi, wc, bc,
                                           wo, bo), out, bwd)
@@ -316,25 +335,29 @@ class Graph:
     def conv2d(self, x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         """Valid (unpadded) 2-D convolution over channel-major images.
 
-        x: (c_in, H, W), kernels: (c_out, c_in, k, k). Output spatial dims
-        are ho = floor((H - k) / stride) + 1 by the same wo in W.
+        x: (c_in, H, W) or a batch (B, c_in, H, W); kernels: (c_out, c_in,
+        k, k). Output spatial dims are ho = floor((H - k) / stride) + 1 by
+        the same wo in W.
 
         im2col lays the patches out as columns, ``cols`` of shape
-        (c_in*k*k, ho*wo), rows in (channel, kernel row, kernel column)
-        order, so the forward is the single product
-        ``kernels.reshape(c_out, c_in*k*k) @ cols`` and its result is the
-        output in (c_out, ho, wo) order with no transpose. The backward
-        reuses ``cols`` for the kernel gradient and folds the column
-        gradient back onto the image with one ``np.bincount`` over
+        (c_in*k*k, B*ho*wo), rows in (channel, kernel row, kernel column)
+        order and columns in (image, output row, output column) order, so
+        the forward is the single product
+        ``kernels.reshape(c_out, c_in*k*k) @ cols``. Its result is the
+        output in (c_out, ho, wo) order with no transpose; a batch gets it
+        as a transposed view of the (c_out, B, ho, wo) product. The
+        backward reuses ``cols`` for the kernel gradient and folds the
+        column gradient back onto the images with one ``np.bincount`` over
         ``_fold_index``, the flat input position of every column entry.
         That index runs in the columns' row order, so bincount adds each
         input element's contributions from 0.0 in ascending (kernel row,
         kernel column) order, as k*k strided slab adds onto a zeroed image
         would: the result is bit-identical to that loop.
         """
-        if x.data.ndim != 3 or kernels.data.ndim != 4:
-            raise ValueError("conv2d expects (c,H,W) input and (o,c,k,k) kernels")
-        c_in, h, w = x.data.shape
+        if x.data.ndim not in (3, 4) or kernels.data.ndim != 4:
+            raise ValueError("conv2d expects (c,H,W) or (B,c,H,W) input and "
+                             "(o,c,k,k) kernels")
+        c_in, h, w = x.data.shape[-3:]
         c_out, kc, k, k2 = kernels.data.shape
         if kc != c_in:
             raise ValueError(f"conv2d: channel mismatch {c_in} vs {kc}")
@@ -346,23 +369,26 @@ class Graph:
             raise ValueError(f"conv2d: kernel {k} larger than input {h}x{w}")
         ho = (h - k) // stride + 1
         wo = (w - k) // stride + 1
+        batch = x.data.shape[:-3]
         # one copy of the strided patch view gives the GEMM operand directly
         cols = np.ascontiguousarray(
-            _conv_patches(x.data, k, stride)).reshape(c_in * k * k, ho * wo)
+            _conv_patches(x.data, k, stride)).reshape(c_in * k * k, -1)
         k2 = kernels.data.reshape(c_out, c_in * k * k)
-        out = (k2 @ cols).reshape(c_out, ho, wo)
+        out = (k2 @ cols).reshape((c_out,) + batch + (ho, wo))
+        if batch:
+            out = out.transpose(1, 0, 2, 3)
         in_shape = x.data.shape
         need_gx = x.requires_grad  # skipping the fold for constant images
 
         def bwd(g):
-            g2 = g.reshape(c_out, ho * wo)
+            g2 = (g.transpose(1, 0, 2, 3) if batch else g).reshape(c_out, -1)
             gk = (g2 @ cols.T).reshape(c_out, c_in, k, k)
             gx = None
             if need_gx:
                 gcols = k2.T @ g2
                 gx = np.bincount(_fold_index(in_shape, k, stride),
                                  weights=gcols.reshape(-1),
-                                 minlength=c_in * h * w).reshape(in_shape)
+                                 minlength=x.data.size).reshape(in_shape)
             return (gx, gk)
 
         return self._record("conv2d", (x, kernels), out, bwd)
@@ -371,81 +397,106 @@ class Graph:
         """Contract a length-d vector against the d channels at every pixel.
 
         out[0, i, j] = sum_c attention[c] * features[c, i, j]
+
+        A batch pairs features (B, d, H, W) with attention (B, d) row by row
+        and gives (B, 1, H, W).
         """
-        if features.data.ndim != 3 or attention.data.ndim != 1:
-            raise ValueError("conv1d_channels expects (d,H,W) and (d,)")
-        if features.data.shape[0] != attention.data.shape[0]:
+        if (features.data.ndim not in (3, 4)
+                or attention.data.ndim != features.data.ndim - 2
+                or attention.data.shape[:-1] != features.data.shape[:-3]):
+            raise ValueError("conv1d_channels expects (d,H,W) and (d,), or "
+                             "(B,d,H,W) and (B,d)")
+        if features.data.shape[-3] != attention.data.shape[-1]:
             raise ValueError(
-                f"conv1d_channels: {features.data.shape[0]} channels vs "
-                f"attention length {attention.data.shape[0]}")
-        d, fh, fw = features.data.shape
-        f2 = features.data.reshape(d, fh * fw)
-        out = (attention.data @ f2).reshape(1, fh, fw)
+                f"conv1d_channels: {features.data.shape[-3]} channels vs "
+                f"attention length {attention.data.shape[-1]}")
+        batch = features.data.shape[:-3]
+        d, fh, fw = features.data.shape[-3:]
+        f2 = features.data.reshape(batch + (d, fh * fw))
+        a = attention.data
+        # per row the BLAS call of a 1-D attention @ f2
+        out = (a[..., None, :] @ f2).reshape(batch + (1, fh, fw))
 
         def bwd(g):
-            gflat = g.reshape(fh * fw)
-            gf = (attention.data[:, None] * gflat).reshape(d, fh, fw)
-            ga = f2 @ gflat
+            gflat = g.reshape(batch + (fh * fw,))
+            gf = (a[..., :, None] * gflat[..., None, :]).reshape(
+                features.data.shape)
+            ga = (f2 @ gflat[..., :, None])[..., 0]
             return (gf, ga)
 
         return self._record("conv1d_channels", (features, attention), out, bwd)
 
     def bias_add_channels(self, x: Tensor, b: Tensor) -> Tensor:
-        if x.data.ndim != 3 or b.data.ndim != 1 or x.data.shape[0] != b.data.shape[0]:
+        """Add b[c] to channel plane c of an image or of every image of a
+        batch."""
+        if (x.data.ndim not in (3, 4) or b.data.ndim != 1
+                or x.data.shape[-3] != b.data.shape[0]):
             raise ValueError(f"bias_add_channels: {x.data.shape} vs {b.data.shape}")
         out = x.data + b.data[:, None, None]
 
         def bwd(g):
-            return (g, g.sum(axis=(1, 2)))
+            return (g, _row_sum(g.sum(axis=(-2, -1))))
 
         return self._record("bias_add_channels", (x, b), out, bwd)
 
     def mul_channels(self, x: Tensor, a: Tensor) -> Tensor:
-        """Scale each channel plane of x by the matching entry of a."""
-        if x.data.ndim != 3 or a.data.ndim != 1 or x.data.shape[0] != a.data.shape[0]:
+        """Scale each channel plane of x by the matching entry of a; a batch
+        pairs x (B, d, H, W) with a (B, d) row by row."""
+        if (x.data.ndim not in (3, 4) or a.data.ndim != x.data.ndim - 2
+                or a.data.shape != x.data.shape[:-2]):
             raise ValueError(f"mul_channels: {x.data.shape} vs {a.data.shape}")
-        out = x.data * a.data[:, None, None]
+        out = x.data * a.data[..., None, None]
 
         def bwd(g):
-            return (g * a.data[:, None, None], (g * x.data).sum(axis=(1, 2)))
+            return (g * a.data[..., None, None],
+                    (g * x.data).sum(axis=(-2, -1)))
 
         return self._record("mul_channels", (x, a), out, bwd)
 
     # -- shape & reduction -------------------------------------------------------
 
     def softmax(self, logits: Tensor) -> Tensor:
-        if logits.data.ndim != 1 or logits.data.size < 1:
-            raise ValueError("softmax expects a non-empty 1-D tensor")
-        z = logits.data - logits.data.max()
+        """Softmax of a vector, or of each row of a batch (B, n)."""
+        if logits.data.ndim not in (1, 2) or logits.data.shape[-1] < 1:
+            raise ValueError("softmax expects a non-empty 1-D tensor or a "
+                             "batch of them")
+        x = logits.data
+        z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        out = e / e.sum()
+        out = e / e.sum(axis=-1, keepdims=True)
 
         def bwd(g):
-            return (out * (g - np.dot(g, out)),)
+            # one np.dot(g, out) per row
+            return (out * (g - (g[..., None, :] @ out[..., :, None])[..., 0]),)
 
         return self._record("softmax", (logits,), out, bwd)
 
     def concat(self, parts: Sequence[Tensor]) -> Tensor:
+        """Join vectors end to end, or the rows of batches (B, n_i) of one
+        B into (B, sum n_i)."""
         parts = tuple(parts)
         if not parts:
             raise ValueError("concat of nothing")
+        batch = parts[0].data.shape[:-1]
         for p in parts:
-            if p.data.ndim != 1:
-                raise ValueError("concat expects 1-D tensors")
-        out = np.concatenate([p.data for p in parts])
-        sizes = [p.data.size for p in parts]
+            if p.data.ndim not in (1, 2) or p.data.shape[:-1] != batch:
+                raise ValueError("concat expects 1-D tensors or batches of "
+                                 "one size")
+        out = np.concatenate([p.data for p in parts], axis=-1)
+        sizes = [p.data.shape[-1] for p in parts]
 
         def bwd(g):
             grads = []
             pos = 0
             for n in sizes:
-                grads.append(g[pos:pos + n])
+                grads.append(g[..., pos:pos + n])
                 pos += n
             return tuple(grads)
 
         return self._record("concat", parts, out, bwd)
 
     def reshape(self, a: Tensor, shape) -> Tensor:
+        """Any reshape; a batched caller passes the batched shape."""
         out = a.data.reshape(shape)
         in_shape = a.data.shape
 
@@ -454,44 +505,84 @@ class Graph:
 
         return self._record("reshape", (a,), out, bwd)
 
-    def flatten(self, a: Tensor) -> Tensor:
-        return self.reshape(a, (a.data.size,))
-
-    def sum_all(self, a: Tensor) -> Tensor:
-        out = np.asarray(a.data.sum())
+    def sum_all(self, a: Tensor, batched: bool = False) -> Tensor:
+        """Sum of every entry, a scalar; ``batched`` sums each row of the
+        leading batch axis on its own, giving (B,)."""
+        if batched:
+            if a.data.ndim < 1:
+                raise ValueError("sum_all: a batch needs a leading axis")
+            out = a.data.reshape(a.data.shape[0], -1).sum(axis=1)
+        else:
+            out = np.asarray(a.data.sum())
         in_shape = a.data.shape
 
         def bwd(g):
+            if batched:
+                return (np.repeat(g, a.data[0].size).reshape(in_shape),)
             return (np.full(in_shape, float(g)),)
 
         return self._record("sum_all", (a,), out, bwd)
 
-    def pick(self, a: Tensor, index: int) -> Tensor:
-        if a.data.ndim != 1:
-            raise ValueError("pick expects a 1-D tensor")
-        if not 0 <= index < a.data.size:
-            raise ValueError(f"pick index {index} out of range {a.data.size}")
-        out = np.asarray(a.data[index])
+    def pick(self, a: Tensor, index) -> Tensor:
+        """Entry ``index`` of a vector, a scalar; or of each row of a batch
+        (B, n), giving (B,), where index is one int or one per row."""
+        if a.data.ndim == 1:
+            _check_index(index, a.data.size, "pick")
+            out = np.asarray(a.data[index])
 
-        def bwd(g):
-            gx = np.zeros(a.data.shape)
-            gx[index] = float(g)
-            return (gx,)
+            def bwd(g):
+                gx = np.zeros(a.data.shape)
+                gx[index] = float(g)
+                return (gx,)
 
+        elif a.data.ndim == 2:
+            entries = _each_row(index, a.data.shape, "pick")
+            out = a.data[entries]
+
+            def bwd(g):
+                gx = np.zeros(a.data.shape)
+                gx[entries] = g
+                return (gx,)
+
+        else:
+            raise ValueError("pick expects a 1-D tensor or a batch of them")
         return self._record("pick", (a,), out, bwd)
 
-    def row(self, m: Tensor, index: int) -> Tensor:
-        if m.data.ndim != 2:
-            raise ValueError("row expects a 2-D tensor")
-        if not 0 <= index < m.data.shape[0]:
-            raise ValueError(f"row index {index} out of range {m.data.shape[0]}")
-        out = m.data[index].copy()
+    def row(self, m: Tensor, index) -> Tensor:
+        """Row ``index`` of a matrix (rows, n), giving (n,). A batch of
+        matrices (B, rows, n) gives one row of each, (B, n), where index is
+        one int or one per matrix. A sequence of B indices into one matrix
+        gives those B rows, (B, n): a batch of lookups, such as embeddings."""
+        if m.data.ndim == 2 and isinstance(index, (int, np.integer)):
+            _check_index(index, m.data.shape[0], "row")
+            out = m.data[index].copy()
 
-        def bwd(g):
-            gm = np.zeros(m.data.shape)
-            gm[index] = g
-            return (gm,)
+            def bwd(g):
+                gm = np.zeros(m.data.shape)
+                gm[index] = g
+                return (gm,)
 
+        elif m.data.ndim == 2:
+            _, rows = _each_row(index, (len(index), m.data.shape[0]), "row")
+            out = m.data[rows]
+
+            def bwd(g):
+                gm = np.zeros(m.data.shape)
+                for b, i in enumerate(rows.tolist()):
+                    gm[i] += g[b]  # a repeated row sums its gradients in order
+                return (gm,)
+
+        elif m.data.ndim == 3:
+            entries = _each_row(index, m.data.shape[:2], "row")
+            out = m.data[entries]
+
+            def bwd(g):
+                gm = np.zeros(m.data.shape)
+                gm[entries] = g
+                return (gm,)
+
+        else:
+            raise ValueError("row expects a 2-D tensor or a batch of them")
         return self._record("row", (m,), out, bwd)
 
     # -- backward ----------------------------------------------------------------
@@ -538,30 +629,82 @@ class Graph:
                         t.grad += gt
 
 
+def _per_row(value, a: Tensor, op: str):
+    """A scale or shift constant as a float, or as one value per row of the
+    batch ``a``, shaped to broadcast over the row."""
+    if isinstance(value, (int, float)) or np.ndim(value) == 0:
+        return float(value)
+    value = np.asarray(value, dtype=np.float64)
+    if a.data.ndim < 1 or value.shape != a.data.shape[:1]:
+        raise ValueError(f"{op}: {value.shape} constants for {a.data.shape}")
+    return value.reshape(value.shape + (1,) * (a.data.ndim - 1))
+
+
+def _check_index(index, size: int, op: str) -> None:
+    if not 0 <= index < size:
+        raise ValueError(f"{op} index {index} out of range {size}")
+
+
+def _each_row(index, shape: tuple[int, int], op: str) -> tuple:
+    """The numpy index of entry ``index`` of each of ``shape[0]`` rows of
+    ``shape[1]`` entries: a basic slice for one int, or (rows, ints) for
+    one int per row."""
+    rows, size = shape
+    if isinstance(index, (int, np.integer)):
+        _check_index(index, size, op)
+        return (slice(None), index)
+    idx = np.asarray(index)
+    if idx.shape != (rows,) or (rows and idx.dtype.kind not in "iu"):
+        raise ValueError(f"{op}: {idx.shape} indices for {rows} rows")
+    for i in idx.tolist():
+        _check_index(i, size, op)
+    return (np.arange(rows), idx)
+
+
+def _outer_sum(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Weight gradient of an affine map: the outer product of g (rows,) and
+    v (n,), or for batches (B, rows) and (B, n) its sum over the rows, as
+    one GEMM. A batch of one forms the unbatched product."""
+    if g.ndim == 1:
+        return g[:, None] * v
+    if len(g) == 1:
+        return g[0][:, None] * v[0]
+    return g.T @ v
+
+
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Bias gradient: g itself, or the sum of a batch's rows in order."""
+    if g.ndim == 1:
+        return g
+    return g[0] if len(g) == 1 else g.sum(axis=0)
+
+
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Read-only (c, k, k, ho, wo) view: [c, a, b, i, j] is
-    x[c, i * stride + a, j * stride + b].
+    """Read-only patch view of channel-major images: (c, k, k, ho, wo) for
+    one image, where [c, a, b, i, j] is x[c, i * stride + a, j * stride + b],
+    and (c, k, k, B, ho, wo) for a batch, where [c, a, b, n, i, j] is
+    x[n, c, i * stride + a, j * stride + b].
 
     Built with the ``np.ndarray`` constructor over the contiguous input's
     buffer, which costs less per call than ``as_strided``."""
-    c, h, w = x.shape
+    c, h, w = x.shape[-3:]
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
     x = np.ascontiguousarray(x)
-    s0, s1, s2 = x.strides
-    view = np.ndarray((c, k, k, ho, wo), x.dtype, buffer=x,
-                      strides=(s0, s1, s2, s1 * stride, s2 * stride))
+    s0, s1, s2 = x.strides[-3:]
+    view = np.ndarray((c, k, k) + x.shape[:-3] + (ho, wo), x.dtype, buffer=x,
+                      strides=(s0, s1, s2) + x.strides[:-3]
+                      + (s1 * stride, s2 * stride))
     view.flags.writeable = False
     return view
 
 
 @lru_cache(maxsize=16)
-def _fold_index(shape: tuple[int, int, int], k: int, stride: int) -> np.ndarray:
-    """Read-only flat (c*k*k*ho*wo,) index: the position in a flattened
-    ``shape`` input of every entry of conv2d's column matrix."""
-    c, h, w = shape
+def _fold_index(shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
+    """Read-only flat index: the position in a flattened ``shape`` input,
+    (c, H, W) or (B, c, H, W), of every entry of conv2d's column matrix."""
     index = np.ascontiguousarray(
-        _conv_patches(np.arange(c * h * w).reshape(c, h, w), k, stride)
+        _conv_patches(np.arange(int(np.prod(shape))).reshape(shape), k, stride)
     ).reshape(-1)
     index.flags.writeable = False
     return index

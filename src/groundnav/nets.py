@@ -8,6 +8,13 @@ produces the attention for t+1. That LSTM runs on every frame, so its gate
 arithmetic is one ``lstm_cell`` tape node; the GRU instruction encoder runs
 once per episode and stays composed of elementwise ops. The fused state has
 length feat_h*feat_w in every variant so the policy heads stay comparable.
+
+Batches: every forward piece takes its per-frame inputs with or without
+one leading batch axis B (see ``autodiff``): images (B, 3, H, W), the
+instruction encoding (B, l) and the attention state (B, d) go in together,
+and every output gains the same axis, so one call steps B environments on
+one tape. Parameters are shared by the rows. An unbatched call records the
+nodes it always did.
 """
 
 from __future__ import annotations
@@ -114,13 +121,17 @@ class AttentionState:
     C: Tensor  # cell state == attention vector
 
 
-def initial_attention_state(config: ModelConfig) -> AttentionState:
+def initial_attention_state(config: ModelConfig,
+                            batch: Optional[int] = None) -> AttentionState:
+    """The state before an episode's first frame: (d,) vectors, or (batch,
+    d) rows of them."""
     # The first frame applies h_0 under lstm_output and C_0 under
     # lstm_cellstate. All ones is a pass-through under Hadamard and a uniform
     # channel weighting under 1D convolution, so C_0 is ones, and h_0 is ones
     # under lstm_output (zero would blank that frame) and zero otherwise.
+    shape = (config.d,) if batch is None else (batch, config.d)
     h0 = np.ones if config.attention_source == "lstm_output" else np.zeros
-    return AttentionState(h=Tensor(h0(config.d)), C=Tensor(np.ones(config.d)))
+    return AttentionState(h=Tensor(h0(shape)), C=Tensor(np.ones(shape)))
 
 
 # --------------------------------------------------------------------------
@@ -248,10 +259,11 @@ def init_params(config: ModelConfig, seed: int) -> Params:
 
 def encode_image(g: Graph, params: Params, config: ModelConfig,
                  image: Tensor) -> Tensor:
-    if image.shape != (3, config.render_h, config.render_w):
+    if (image.data.ndim not in (3, 4)
+            or image.shape[-3:] != (3, config.render_h, config.render_w)):
         raise ValueError(
             f"image shape {image.shape}, expected "
-            f"(3, {config.render_h}, {config.render_w})")
+            f"([B,] 3, {config.render_h}, {config.render_w})")
     x = image
     for i, (_, _, stride) in enumerate(config.conv_specs, start=1):
         x = g.conv2d(x, params[f"conv{i}_w"], stride=stride)
@@ -266,13 +278,28 @@ def token_ids(config: ModelConfig, tokens: Sequence[str]) -> list[int]:
 
 
 def encode_instruction(g: Graph, params: Params, config: ModelConfig,
-                       tokens: Sequence[str]) -> Tensor:
-    """Final hidden state of a GRU over embedded tokens."""
-    if len(tokens) == 0:
+                       tokens) -> Tensor:
+    """Final hidden state of a GRU over embedded tokens: (l,) for one token
+    sequence, (B, l) for a list of B sequences.
+
+    A batch runs right-aligned: of T = max length steps, row b reads its
+    tokens in the last len_b, and before that a ``mul`` by a 0/1 mask
+    holds its h at the zero it starts from. So each row ends in the state
+    its own encode reaches, and only steps where some row has no token yet
+    record a mask: an unbatched encode records 15 nodes per token.
+    """
+    batched = len(tokens) > 0 and not isinstance(tokens[0], str)
+    seqs = [token_ids(config, t) for t in tokens] if batched \
+        else [token_ids(config, tokens)]
+    if min(map(len, seqs), default=0) == 0:
         raise ValueError("empty token sequence")
-    h = Tensor(np.zeros(config.l))
-    for tid in token_ids(config, tokens):
-        x = g.row(params["embed"], tid)
+    steps = max(map(len, seqs))
+    h = Tensor(np.zeros((len(seqs), config.l) if batched else config.l))
+    for t in range(steps):
+        # row b's token at step t, or id 0 while it waits for its first
+        live = [t >= steps - len(s) for s in seqs]
+        ids = [s[t - steps + len(s)] if on else 0 for s, on in zip(seqs, live)]
+        x = g.row(params["embed"], ids if batched else ids[0])
         hx = g.concat([h, x])
         z = g.sigmoid(g.matvec(params["gru_wz"], hx, params["gru_bz"]))
         r = g.sigmoid(g.matvec(params["gru_wr"], hx, params["gru_br"]))
@@ -280,6 +307,9 @@ def encode_instruction(g: Graph, params: Params, config: ModelConfig,
         hbar = g.tanh(g.matvec(params["gru_wh"], rhx, params["gru_bh"]))
         one_minus_z = g.shift(g.scale(z, -1.0), 1.0)
         h = g.add(g.mul(one_minus_z, h), g.mul(z, hbar))
+        if not all(live):
+            h = g.mul(h, Tensor(np.repeat(np.array(live, float)[:, None],
+                                          config.l, axis=1)))
     return h
 
 
@@ -299,6 +329,12 @@ def attention_step(g: Graph, params: Params, config: ModelConfig,
     return AttentionState(h=g.row(hc, 0), C=g.row(hc, 1))
 
 
+def _flatten_maps(g: Graph, maps: Tensor) -> Tensor:
+    """Channel-major maps (c, h, w) as one vector, or a batch (B, c, h, w)
+    as one vector per row."""
+    return g.reshape(maps, maps.shape[:-3] + (-1,))
+
+
 def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
          features: Tensor, prev: Optional[AttentionState]
          ) -> tuple[Optional[Tensor], Optional[Tensor], Tensor,
@@ -311,7 +347,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     no attention, so its vector and maps are None.
     """
     if config.fusion == "concat":
-        inp = g.concat([g.flatten(features), x_l])
+        inp = g.concat([_flatten_maps(g, features), x_l])
         state = g.matvec(params["cat_w"], inp, params["cat_b"])
         return None, None, state, prev
 
@@ -323,15 +359,15 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
         att = prev.h if source == "lstm_output" else prev.C
     else:
         inp = x_l if source == "static_instruction" \
-            else g.concat([g.flatten(features), x_l])
+            else g.concat([_flatten_maps(g, features), x_l])
         att = g.sigmoid(g.matvec(params["att_w"], inp, params["att_b"]))
 
     if config.application == "conv1d":
         maps = g.conv1d_channels(features, att)
-        state = g.flatten(maps)
+        state = _flatten_maps(g, maps)
     else:
         maps = g.mul_channels(features, att)
-        flat = g.flatten(maps)
+        flat = _flatten_maps(g, maps)
         state = g.matvec(params["had_w"], flat, params["had_b"])
 
     if recurrent:

@@ -423,9 +423,12 @@ class TestTrainLoop:
         model_step = a3c.model_step
         seen = []
 
-        def recording_step(g, params, *args):
-            seen.append(params)
-            return model_step(g, params, *args)
+        def recording_step(g, params, config, x_l, image, prev):
+            # one call steps every environment of the batch: one entry per
+            # row; a batch of one runs unbatched, (3, H, W)
+            seen.extend([params] * (len(image.data) if image.data.ndim == 4
+                                    else 1))
+            return model_step(g, params, config, x_l, image, prev)
 
         monkeypatch.setattr(a3c, "model_step", recording_step)
         tconf = TrainerConfig(max_frames=200, mode=mode, workers=workers)
@@ -461,7 +464,8 @@ class TestTrainLoop:
                 assert math.isfinite(row[key]), key
 
     def test_update_accounting(self, tiny_model, monkeypatch):
-        # every worker turn applies exactly one update
+        # every lockstep rollout of the two environments applies exactly one
+        # update
         _, mconf = tiny_model
         from groundnav.a3c import Collector, _worker_loop
         from groundnav.nets import init_params
@@ -482,9 +486,34 @@ class TestTrainLoop:
         corpus = gridnav.build_corpus(7)
         _worker_loop(shared, opt, tconf, mconf,
                      EnvSettings("easy", 7), 2, collector, corpus.train)
-        # only the turn that uses up the budget plays a partial rollout
+        # only the rollout that uses up the budget is partial
         assert collector.frames == 410
-        assert calls[0] == (410 + tconf.n_steps - 1) // tconf.n_steps
+        assert calls[0] == -(-410 // (tconf.workers * tconf.n_steps)) == 11
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("max_episodes", [1, 3, 7])
+    def test_lockstep_episode_budget_exact(self, tiny_model, workers,
+                                           max_episodes):
+        # an episode that uses up the budget stops the run inside its step:
+        # the environments after it in worker order play no frame there
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=0, max_episodes=max_episodes,
+                              mode="sync" if workers == 1 else "async",
+                              workers=workers, log_every_episodes=1)
+        result = train(tconf, mconf, EnvSettings("hard", 7), seed=6)
+        assert result.episodes == max_episodes
+        assert len(result.rows) == max_episodes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("max_frames", [3, 401, 410])
+    def test_lockstep_frame_budget_exact(self, tiny_model, workers,
+                                         max_frames):
+        # a budget that is not a multiple of the batch ends inside a step
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=max_frames, mode="async",
+                              workers=workers)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=6)
+        assert result.frames == max_frames
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_log_per_step_means(self, tiny_model, seed):
@@ -508,6 +537,71 @@ class TestTrainLoop:
             TrainerConfig(n_steps=0)
         with pytest.raises(ValueError):
             TrainerConfig(mode="turbo")
+
+
+def _scripted_worker(mconf, corpus, seed, instruction, env_seed, actions):
+    """A lockstep worker whose first episode is (instruction, env_seed) and
+    which plays ``actions`` in turn; later episodes come from its rng."""
+    worker = a3c._Worker(np.random.default_rng(seed), EnvSettings("easy", 7),
+                         mconf, corpus.train)
+    worker.instruction = instruction
+    worker.state, worker.obs = gridnav.reset(
+        env_seed, "easy", instruction, render_hw=(mconf.render_h,
+                                                  mconf.render_w))
+    script = iter(actions)
+    worker.sample = lambda p: gridnav.ACTIONS.index(next(script))
+    return worker
+
+
+def _rollout_gradient(mconf, params, workers, max_frames):
+    """Gradient of one lockstep rollout of ``workers`` from a fresh
+    attention state, the run stopping after ``max_frames`` (0: never)."""
+    tconf = TrainerConfig(n_steps=12, max_frames=max_frames)
+    batch = None if len(workers) == 1 else len(workers)
+    g = Graph()
+    rollout, bootstrap, _ = a3c._rollout(
+        g, params, tconf, mconf, workers,
+        nets.initial_attention_state(mconf, batch), Collector(tconf))
+    returns = compute_returns(rollout, 0.0 if bootstrap is None else bootstrap,
+                              tconf.gamma)
+    loss = total_loss(g, *compute_losses(g, rollout, returns), tconf)
+    params.zero_grads()
+    g.backward(loss)
+    return rollout, {name: t.grad.copy() for name, t in params.items()}
+
+
+class TestLockstep:
+    # stream 0 turns on the spot; stream 1 walks forward into an object, so
+    # its episode ends mid-rollout and its x_l and attention rows are reset
+    STREAMS = ((3, 0, 21, ("turn_left", "turn_right") * 6),
+               (4, 1, 22, ("move_forward",) * 12))
+
+    @pytest.mark.parametrize("max_frames", [0, 17],
+                             ids=["full", "stops_inside_a_step"])
+    def test_rollout_gradient_is_the_sum_of_its_environments(
+            self, tiny_model, max_frames):
+        # with max_frames = 17 the B=2 run stops after row 0's 9th frame: row
+        # 1 plays 8 frames and bootstraps from the 9th step's value, as a
+        # B=1 run of 8 frames does
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 7)
+
+        def workers(streams):
+            return [_scripted_worker(mconf, corpus, seed, corpus.train[ins],
+                                     env_seed, actions)
+                    for seed, ins, env_seed, actions in streams]
+
+        rollout, lockstep = _rollout_gradient(mconf, params,
+                                              workers(self.STREAMS), max_frames)
+        assert rollout[0].reward.shape == (2,)
+        assert any(step.done[1] for step in rollout[:-1])
+        alone = [_rollout_gradient(
+            mconf, params, workers([stream]),
+            max_frames and (max_frames + 1) // 2 - row)[1]
+            for row, stream in enumerate(self.STREAMS)]
+        for name, grad in lockstep.items():
+            want = alone[0][name] + alone[1][name]
+            assert np.abs(grad - want).max() <= 1e-10 * np.abs(want).max(), name
 
 
 def _overflowing_trunk(params: Params) -> Params:
@@ -567,12 +661,17 @@ class TestPlayEpisode:
         assert res.frames[0].shape == (3, 27, 36)
         assert res.attended[0].shape == (1, 1, 2)
 
-    def test_sampled_playout_needs_rng(self, tiny_model):
+    def test_sampled_playout_needs_rng(self, tiny_model, monkeypatch):
+        # the missing rng is reported before any work: no reset, no encode
         corpus, mconf = tiny_model
         params = nets.init_params(mconf, 6)
-        with pytest.raises(ValueError):
+        resets = []
+        monkeypatch.setattr(gridnav, "reset",
+                            lambda *args, **kwargs: resets.append(args))
+        with pytest.raises(ValueError, match="rng"):
             play_episode(params, mconf, corpus.train[0], 1, "easy",
                          greedy=False)
+        assert resets == []
 
 
 class TestCollector:

@@ -469,10 +469,77 @@ class TestTensorInvariants:
             a = Tensor(rng.uniform(-1, 1, (3, 5, 5)))
             k = Tensor(rng.uniform(-1, 1, (2, 3, 3, 3)))
             h = g.relu(g.conv2d(a, k))
-            return g.softmax(g.flatten(h)).data
+            return g.softmax(g.reshape(h, (-1,))).data
 
         one, two = forward(), forward()
         assert (one == two).all()
+
+
+# ops whose batched call folds its rows into one GEMM, so the sums over rows
+# (and so every row's values) may differ from the rows' own in the last bits
+GEMM_OPS = ("matvec", "lstm_cell", "conv2d")
+
+
+def _call_and_backward(call, arrays, weights, row=None):
+    """Output and operand gradients of sum(weights * op(arrays)), checking
+    that the op appends one node whose output it returns."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    g = Graph()
+    out = call(g, leaves, row)
+    assert len(g.nodes) == 1 and g.nodes[-1].output is out
+    g.backward(g.sum_all(g.mul(out, Tensor(weights))))
+    return out.data, [np.zeros_like(t.data) if t.grad is None else t.grad
+                      for t in leaves]
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("op", OP_KINDS)
+    def test_batch_equals_its_rows(self, op, batch):
+        # a batched call gives the stack of its rows' unbatched outputs and
+        # operand gradients; a shared operand (a weight) gets the sum of the
+        # rows' gradients, in row order
+        rng = np.random.default_rng([gradcheck._op_tag(op), batch])
+        for _ in range(10):
+            arrays, batched, call = gradcheck.DRAWS[op](rng, batch)
+            dry = call(Graph(), [Tensor(a) for a in arrays])
+            weights = rng.standard_normal(dry.shape)
+            out, grads = _call_and_backward(call, arrays, weights)
+            rows = [_call_and_backward(
+                call, [a[r] if b else a for a, b in zip(arrays, batched)],
+                weights[r], r) for r in range(batch)]
+            want_out = np.stack([o for o, _ in rows])
+            want_grads = []
+            for i, b in enumerate(batched):
+                per_row = [gr[i] for _, gr in rows]
+                if b:
+                    want_grads.append(np.stack(per_row))
+                else:
+                    total = per_row[0]
+                    for gr in per_row[1:]:
+                        total = total + gr
+                    want_grads.append(total)
+            for got, want in zip([out] + grads, [want_out] + want_grads):
+                assert got.shape == want.shape
+                if op in GEMM_OPS:
+                    assert np.abs(got - want).max(initial=0.0) <= \
+                        1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_batch_of_rows_not_matching_rejected(self):
+        g = Graph()
+        with pytest.raises(ValueError):
+            g.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))])
+        with pytest.raises(ValueError):
+            g.pick(Tensor(np.ones((2, 3))), [0, 1, 2])
+        with pytest.raises(ValueError, match="out of range"):
+            g.pick(Tensor(np.ones((2, 3))), [0, 3])
+        with pytest.raises(ValueError):
+            g.scale(Tensor(np.ones((2, 3))), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            g.conv1d_channels(Tensor(np.ones((2, 4, 3, 3))),
+                              Tensor(np.ones((3, 4))))
 
 
 class TestGradCheckProperty:
@@ -496,8 +563,8 @@ class TestGradCheckProperty:
     def test_end_to_end_reaches_every_parameter(self):
         # the GRU, the embedding and every LSTM gate must reach the loss, or
         # the end-to-end check compares zero with zero
-        mconf, params, instruction, images = gradcheck._tiny_model(0)
-        g, loss = gradcheck._rollout_loss(mconf, params, instruction, images)
+        mconf, params, walk = gradcheck._tiny_model(0)
+        g, loss = gradcheck._rollout_loss(mconf, params, walk)
         g.backward(loss)
         assert len(params.names()) == 27
         assert [n for n, t in params.items()
@@ -512,7 +579,7 @@ class TestGradCheckProperty:
         # Under lstm_output frame 1 applies h_0 = 0, so its fused state is
         # 0 and every trunk relu sits on its kink at the zero-initialised
         # trunk_b: that bias is moved off zero.
-        mconf, _, instruction, images = gradcheck._tiny_model(0)
+        mconf, _, walk = gradcheck._tiny_model(0)
         mconf = dataclasses.replace(mconf, **variant)
         params = nets.init_params(mconf, 0)
         rng = np.random.default_rng(0)
@@ -521,8 +588,8 @@ class TestGradCheckProperty:
         entries = [rng.choice(t.size, min(gradcheck.END_TO_END_SAMPLES, t.size),
                               replace=False) for t in tensors]
         err = gradcheck._worst_error(
-            tensors, lambda: gradcheck._rollout_loss(mconf, params, instruction,
-                                                     images), entries)
+            tensors, lambda: gradcheck._rollout_loss(mconf, params, walk),
+            entries)
         assert err < gradcheck.END_TO_END_TOL
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []

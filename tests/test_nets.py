@@ -245,12 +245,12 @@ class TestEncodeImage:
 
         def loss_value():
             g = Graph()
-            return g.sum_all(g.tanh(g.flatten(
-                encode_image(g, params, small_config, image)))).item()
+            return g.sum_all(g.tanh(g.reshape(
+                encode_image(g, params, small_config, image), (-1,)))).item()
 
         g = Graph()
-        loss = g.sum_all(g.tanh(g.flatten(
-            encode_image(g, params, small_config, image))))
+        loss = g.sum_all(g.tanh(g.reshape(
+            encode_image(g, params, small_config, image), (-1,))))
         params.zero_grads()
         g.backward(loss)
         w = params["conv1_w"]
