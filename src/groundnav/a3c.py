@@ -7,13 +7,19 @@ its action from its own random stream and advances. A rollout of up to
 ``n_steps`` steps ends with one batched bootstrap forward, one backward of
 the policy + value + entropy losses summed over environments and steps, and
 one globally clipped, adaptively scaled update of the one parameter set, so
-every gradient is applied to the parameters it was computed on. One worker
-is the batch of one. The collector keeps the run totals and the log
-(per-frame means of the losses) and decides when the run stops, so a run
-trains exactly its frame and episode budgets: an environment that gets no
-frame, or whose turn comes after the run has stopped, ends its rollout at
-that step, bootstrapped from that step's value. Every run, with any number
-of workers, is bit-for-bit reproducible.
+every gradient is applied to the parameters it was computed on. The
+collector keeps the run totals and the log (per-frame means of the losses)
+and decides when the run stops, so a run trains exactly its frame and
+episode budgets: an environment that gets no frame, or whose turn comes
+after the run has stopped, ends its rollout at that step, bootstrapped from
+that step's value. Every run, with any number of workers, is bit-for-bit
+reproducible.
+
+Batches: every per-step value carries one leading batch axis B, one row
+per environment (see ``nets``): the forward's probabilities and values, each
+``RolloutStep``'s log-probabilities, values, rewards and done flags, and the
+returns. The rows share the parameters. One worker is a batch of one, and
+``play_episode`` plays one episode as a batch of one.
 """
 
 from __future__ import annotations
@@ -103,20 +109,20 @@ class EnvSettings:
 
 @dataclass
 class RolloutStep:
-    """One step: scalars, or for a lockstep batch one entry per environment
-    (tensors of shape (B,), reward and done arrays)."""
+    """One lockstep step: log-probabilities and values (B,), their rows'
+    entropy summed into a scalar, and reward and done arrays (B,)."""
     log_prob: Tensor
     value: Tensor
     entropy: Tensor
-    reward: float | np.ndarray
-    done: bool | np.ndarray
+    reward: np.ndarray
+    done: np.ndarray
 
 
 def compute_returns(rollout: list[RolloutStep], bootstrap_value,
-                    gamma: float) -> list:
-    """Discounted returns R_t = r_t + gamma * R_{t+1}, computed backward;
-    a done flag cuts the recursion. For batched steps the bootstrap and
-    every return hold one value per environment."""
+                    gamma: float) -> list[np.ndarray]:
+    """Discounted returns R_t = r_t + gamma * R_{t+1} (B,), computed
+    backward from the bootstrap values (B,); a done flag cuts the
+    recursion."""
     if not rollout:
         raise ValueError("empty rollout")
     returns = [0.0] * len(rollout)
@@ -131,7 +137,7 @@ def compute_returns(rollout: list[RolloutStep], bootstrap_value,
 def compute_losses(g: Graph, rollout: list[RolloutStep],
                    returns: list) -> tuple[Tensor, Tensor, Tensor]:
     """(policy_loss, value_loss, entropy) as graph scalars, summed over the
-    steps and, for batched steps, over the environments.
+    steps and the environments.
 
     The advantage R_t - V(s_t) enters the policy term as a constant, so no
     gradient flows into the critic through it.
@@ -147,9 +153,7 @@ def compute_losses(g: Graph, rollout: list[RolloutStep],
         policy_loss = p_term if policy_loss is None else g.add(policy_loss, p_term)
         value_loss = v_term if value_loss is None else g.add(value_loss, v_term)
         entropy = step.entropy if entropy is None else g.add(entropy, step.entropy)
-    if policy_loss.data.ndim:  # sum the environments of a batch
-        return g.sum_all(policy_loss), g.sum_all(value_loss), g.sum_all(entropy)
-    return policy_loss, value_loss, entropy
+    return g.sum_all(policy_loss), g.sum_all(value_loss), entropy
 
 
 def total_loss(g: Graph, policy_loss: Tensor, value_loss: Tensor,
@@ -266,10 +270,16 @@ class Collector:
 # Lockstep rollouts
 # --------------------------------------------------------------------------
 
-def policy_entropy(g: Graph, probs: Tensor) -> Tensor:
-    """Entropy of a distribution, or of each row of a batch (B, n)."""
-    return g.scale(g.sum_all(g.mul(probs, g.log(probs)),
-                             batched=probs.data.ndim == 2), -1.0)
+def policy_entropy(g: Graph, probs: Tensor, rows=1.0) -> Tensor:
+    """Entropy of each distribution of a batch (B, n), summed over the
+    rows; ``rows`` (one 0/1 per row) leaves the rows at 0 out."""
+    return g.sum_all(g.scale(g.mul(probs, g.log(probs)),
+                             -np.asarray(rows, dtype=float)))
+
+
+def sample_action(rng: np.random.Generator, p: np.ndarray) -> int:
+    """An action drawn from the distribution ``p``."""
+    return int(rng.choice(len(p), p=p / p.sum()))
 
 
 class _Worker:
@@ -292,13 +302,30 @@ class _Worker:
                                              render_hw=self.render_hw)
 
     def sample(self, p: np.ndarray) -> int:
-        return int(self.rng.choice(len(p), p=p / p.sum()))
+        return sample_action(self.rng, p)
 
 
-def _rows(values: list):
-    """Per-environment values as the ops take them: a batch of one runs
-    unbatched, as its one value."""
-    return values[0] if len(values) == 1 else values
+def _row_mask(batch: int, rows) -> np.ndarray:
+    """1.0 at the ``rows`` of a batch, 0.0 elsewhere."""
+    mask = np.zeros(batch)
+    mask[list(rows)] = 1.0
+    return mask
+
+
+def _reset_attention(g: Graph, mconf: ModelConfig, att: AttentionState,
+                     rows) -> AttentionState:
+    """``att`` with its ``rows`` (row indices) set to the initial state."""
+    batch = att.C.shape[0]
+    init = initial_attention_state(mconf, batch)
+    if len(rows) == batch:
+        return init
+    fresh = _row_mask(batch, rows)
+
+    def reset(t: Tensor, start: Tensor) -> Tensor:
+        return g.add(g.scale(t, 1.0 - fresh),
+                     Tensor(fresh[:, None] * start.data))
+
+    return AttentionState(h=reset(att.h, init.h), C=reset(att.C, init.C))
 
 
 def start_episodes(g: Graph, params: Params, mconf: ModelConfig, x_l: Tensor,
@@ -306,24 +333,19 @@ def start_episodes(g: Graph, params: Params, mconf: ModelConfig, x_l: Tensor,
                                                              AttentionState]:
     """The instruction encoding and attention state of a batch whose
     ``rows`` (row -> instruction, in row order) start new episodes: their
-    instructions are encoded in one pass and their attention state is
-    reset; the other rows are kept as they are on the tape."""
-    batch = x_l.shape[0] if x_l.data.ndim == 2 else 1
+    instructions are encoded in one pass and put in by a 0/1 row mask, and
+    their attention state is reset; the other rows are kept as they are on
+    the tape."""
     new_x = encode_instruction(g, params, mconf,
-                               _rows([ins.tokens for ins in rows.values()]))
+                               [ins.tokens for ins in rows.values()])
+    att = _reset_attention(g, mconf, att, rows)
+    batch = x_l.shape[0]
     if len(rows) == batch:
-        return new_x, initial_attention_state(
-            mconf, None if batch == 1 else batch)
-    init = initial_attention_state(mconf)
-
-    def replace(t: Tensor, new: dict) -> Tensor:
-        parts = [new[b] if b in new else g.row(t, b) for b in range(batch)]
-        return g.reshape(g.concat(parts), t.shape)
-
-    x_l = replace(x_l, dict(zip(rows, [new_x] if len(rows) == 1 else
-                                [g.row(new_x, i) for i in range(len(rows))])))
-    return x_l, AttentionState(h=replace(att.h, dict.fromkeys(rows, init.h)),
-                               C=replace(att.C, dict.fromkeys(rows, init.C)))
+        return new_x, att
+    fresh = _row_mask(batch, rows)
+    slot = {b: i for i, b in enumerate(rows)}
+    spread = g.row(new_x, [slot.get(b, 0) for b in range(batch)])
+    return g.add(g.scale(x_l, 1.0 - fresh), g.scale(spread, fresh)), att
 
 
 def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
@@ -335,19 +357,18 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
     ended its episode) and the attention state to carry on."""
     batch = len(workers)
     x_l = encode_instruction(g, params, mconf,
-                             _rows([w.instruction.tokens for w in workers]))
+                             [w.instruction.tokens for w in workers])
     att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
     steps: list[RolloutStep] = []
     while True:
         over = len(steps) == tconf.n_steps or collector.stopped
         if over and np.all(steps[-1].done):
             return steps, None, att
-        images = workers[0].obs.image if batch == 1 else \
-            Tensor(np.stack([w.obs.image.data for w in workers]))
+        images = Tensor(np.array([w.obs.image.data for w in workers]))
         out = model_step(g, params, mconf, x_l, images, att)
         if over:
             return steps, out.value.data, att
-        p = out.probs.data.reshape(batch, -1)
+        p = out.probs.data
         # a row that plays no frame keeps a log-probability that is finite
         actions = p.argmax(axis=1).tolist()
         rewards = np.zeros(batch)
@@ -368,23 +389,26 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
             else:
                 w.obs = gridnav.render(w.state)
             played += 1
-        log_prob = g.log(g.pick(out.probs, _rows(actions)))
-        entropy = policy_entropy(g, out.probs)
+        log_prob = g.log(g.pick(out.probs, actions))
+        live = 1.0
         if played < batch:
             # the run stopped in this step: each row that played no frame
             # ends its rollout at the step before, bootstrapped from this
             # step's value. As a done step whose reward is that value, its
             # return is the value itself, so its advantage and value error
-            # are zero; its entropy is masked out.
+            # are zero; its entropy is left out.
             idle = np.arange(batch) >= played
             rewards[idle] = out.value.data[idle]
             dones[idle] = True
-            entropy = g.scale(entropy, ~idle)
+            live = ~idle
         steps.append(RolloutStep(log_prob=log_prob, value=out.value,
-                                 entropy=entropy, reward=_rows(rewards),
-                                 done=_rows(dones)))
+                                 entropy=policy_entropy(g, out.probs, live),
+                                 reward=rewards, done=dones))
         att = out.next_attention_state
-        if restarts:
+        if restarts and (len(steps) == tconf.n_steps or collector.stopped):
+            # the rollout ends here, and the next one encodes every row
+            att = _reset_attention(g, mconf, att, restarts)
+        elif restarts:
             x_l, att = start_episodes(g, params, mconf, x_l, att, restarts)
 
 
@@ -396,8 +420,7 @@ def _worker_loop(shared: Params, opt: SharedOptimizerState,
     workers = [_Worker(np.random.default_rng(
         np.random.SeedSequence([seed, 1000 + wid])), env, mconf, train_split)
         for wid in range(tconf.workers)]
-    att = initial_attention_state(
-        mconf, None if len(workers) == 1 else len(workers))
+    att = initial_attention_state(mconf, len(workers))
     while not collector.stopped:
         g = Graph()
         frames = collector.frames
@@ -475,28 +498,27 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
                  env_seed: int, difficulty: str, greedy: bool = True,
                  rng: Optional[np.random.Generator] = None,
                  capture: bool = False) -> EpisodeResult:
-    """Roll one episode; greedy mode takes the argmax action (ties to the
-    lowest index)."""
+    """Roll one episode as a batch of one; greedy mode takes the argmax
+    action (ties to the lowest index). ``attended`` holds each frame's
+    (c, h, w) maps."""
     if not greedy and rng is None:
         raise ValueError("sampled playout needs an rng")
     state, obs = gridnav.reset(env_seed, difficulty, instruction,
                                render_hw=(mconf.render_h, mconf.render_w))
     g = Graph()
-    x_l = encode_instruction(g, params, mconf, instruction.tokens)
+    x_l = encode_instruction(g, params, mconf, [instruction.tokens])
     att = initial_attention_state(mconf)
     result = EpisodeResult(reward=0.0, success=False, steps=0, trace=[])
     final_reward = 0.0
     for t in range(MAX_STEPS):
-        out = model_step(g, params, mconf, x_l, obs.image, att)
+        out = model_step(g, params, mconf, x_l, Tensor(obs.image.data[None]),
+                         att)
         if capture:
             result.frames.append(obs.image.data.copy())
             result.attended.append(
-                None if out.attended is None else out.attended.data.copy())
-        if greedy:
-            action = int(np.argmax(out.probs.data))
-        else:
-            p = out.probs.data
-            action = int(rng.choice(len(p), p=p / p.sum()))
+                None if out.attended is None else out.attended.data[0].copy())
+        p = out.probs.data[0]
+        action = int(np.argmax(p)) if greedy else sample_action(rng, p)
         state, reward, done = gridnav.advance(state, ACTIONS[action])
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))

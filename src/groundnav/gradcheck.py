@@ -2,8 +2,10 @@
 
 Every op kind in ``autodiff.OP_KINDS`` gets randomized small cases checked
 against a two-sided difference quotient. A case is the op's operand arrays,
-drawn by its ``DRAWS`` entry with or without a leading batch axis of 1 to 3
-rows, and the scalar loss ``sum(w * op(operands))``, whose weights
+drawn by its ``DRAWS`` entry: every per-frame operand carries a leading
+batch axis of 1 to 3 rows, and the parameter operands (weights, biases,
+kernels, a looked-up matrix) are shared by the rows, as in ``autodiff``.
+Its loss is the scalar ``sum(w * op(operands))``, whose weights
 ``w ~ N(0, 1)`` are drawn from the same generator in the shape of the op's
 output, so every output entry reaches the loss with its own weight. Every
 operand entry is checked.
@@ -20,7 +22,7 @@ surfaces this as ``gradcheck``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,16 +70,13 @@ def _worst_error(tensors, loss: Callable[[], tuple[Graph, Tensor]],
 # --------------------------------------------------------------------------
 # Randomized cases per op: DRAWS[op](rng, batch) -> (arrays, batched, call)
 #
-# ``batch`` is None or a row count. ``batched`` flags the arrays that then
-# carry the leading batch axis; the others (weights, biases, kernels) are
-# shared by the rows. ``call(g, tensors, row=None)`` records the op; an
-# unbatched call on row ``row``'s operands passes that row's own constant or
-# index, so a batched call can be compared with its rows.
+# ``batch`` is the row count. ``batched`` flags the arrays that carry the
+# leading batch axis; the others (weights, biases, kernels) are shared by
+# the rows. ``call(g, tensors, row=None)`` records the op; with ``row`` it
+# records it on the batch of one made of that row's operands
+# (``a[row:row + 1]``) and passes that row's own constant or index, so a
+# batch can be compared with its rows.
 # --------------------------------------------------------------------------
-
-def _lead(batch: Optional[int]) -> tuple:
-    return () if batch is None else (batch,)
-
 
 def _shape(rng, ndim_max=3):
     ndim = int(rng.integers(1, ndim_max + 1))
@@ -88,7 +87,7 @@ def _same_shape(op: str, count=1, low=-2.0, high=2.0, kink=None):
     """Draw ``count`` operands of one random shape for an elementwise op,
     each entry moved 0.2 away if it lies within 0.1 of the op's ``kink``."""
     def draw(rng, batch):
-        shape = _lead(batch) + _shape(rng)
+        shape = (batch,) + _shape(rng)
         arrays = [rng.uniform(low, high, size=shape) for _ in range(count)]
         if kink is not None:
             arrays = [np.where(np.abs(x - kink) < 0.1,
@@ -100,50 +99,43 @@ def _same_shape(op: str, count=1, low=-2.0, high=2.0, kink=None):
 
 
 def _draw_sum_all(rng, batch):
-    x = rng.uniform(-1.0, 1.0, size=_lead(batch) + _shape(rng))
-    return [x], (True,), lambda g, t, row=None: g.sum_all(
-        t[0], batched=batch is not None and row is None)
+    x = rng.uniform(-1.0, 1.0, size=(batch,) + _shape(rng))
+    return [x], (True,), lambda g, t, row=None: g.sum_all(t[0])
 
 
-def _channelwise(op: str, max_channels=4, vector_batched=True):
-    """Draw a (c, h, w) map and a length-c vector for a per-channel op; the
-    vector is per row of a batch, or shared like a bias."""
+def _channelwise(op: str, max_channels=4, shared_vector=False):
+    """Draw a batch of (c, h, w) maps and length-c vectors for a per-channel
+    op: one vector per row, or one shared like a bias."""
     def draw(rng, batch):
         c = int(rng.integers(1, max_channels + 1))
         h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        vec = _lead(batch) if vector_batched else ()
-        arrays = [rng.uniform(-1, 1, size=_lead(batch) + (c, h, w)),
+        vec = () if shared_vector else (batch,)
+        arrays = [rng.uniform(-1, 1, size=(batch, c, h, w)),
                   rng.uniform(-1, 1, size=vec + (c,))]
-        return arrays, (True, vector_batched), \
+        return arrays, (True, not shared_vector), \
             lambda g, t, row=None: getattr(g, op)(*t)
     return draw
 
 
-def _per_row_constant(rng, batch, low, high):
-    """One float, or one per row of a batch."""
-    value = rng.uniform(low, high, size=_lead(batch))
-    return float(value) if batch is None else value
-
-
 def _draw_scale(rng, batch):
-    x = rng.uniform(-2, 2, size=_lead(batch) + _shape(rng))
-    alpha = _per_row_constant(rng, batch, 0.3, 2.5) \
+    x = rng.uniform(-2, 2, size=(batch,) + _shape(rng))
+    alpha = rng.uniform(0.3, 2.5, size=batch) \
         * (1 if rng.random() < 0.5 else -1)
     return [x], (True,), lambda g, t, row=None: g.scale(
-        t[0], alpha if row is None else alpha[row])
+        t[0], alpha if row is None else alpha[row:row + 1])
 
 
 def _draw_shift(rng, batch):
-    x = rng.uniform(-2, 2, size=_lead(batch) + _shape(rng))
-    beta = _per_row_constant(rng, batch, -2, 2)
+    x = rng.uniform(-2, 2, size=(batch,) + _shape(rng))
+    beta = rng.uniform(-2, 2, size=batch)
     return [x], (True,), lambda g, t, row=None: g.shift(
-        t[0], beta if row is None else beta[row])
+        t[0], beta if row is None else beta[row:row + 1])
 
 
 def _draw_matvec(rng, batch):
     m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     arrays = [rng.uniform(-1, 1, size=(m, n)),
-              rng.uniform(-1, 1, size=_lead(batch) + (n,)),
+              rng.uniform(-1, 1, size=(batch, n)),
               rng.uniform(-1, 1, size=(m,))]
     return arrays, (False, True, False), \
         lambda g, t, row=None: g.matvec(*t)
@@ -154,8 +146,8 @@ def _draw_lstm_cell(rng, batch):
     (the previous h) or all of them."""
     d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     nf = d if rng.random() < 0.5 else d + n
-    arrays = [rng.uniform(-1, 1, size=_lead(batch) + (d + n,)),
-              rng.uniform(-1, 1, size=_lead(batch) + (d,))]
+    arrays = [rng.uniform(-1, 1, size=(batch, d + n)),
+              rng.uniform(-1, 1, size=(batch, d))]
     for cols in (nf, d + n, d + n, d + n):
         arrays += [rng.uniform(-1, 1, size=(d, cols)),
                    rng.uniform(-1, 1, size=(d,))]
@@ -170,58 +162,58 @@ def _draw_conv2d(rng, batch):
     stride = int(rng.integers(1, 3))
     h = k + int(rng.integers(0, 4))
     w = k + int(rng.integers(0, 4))
-    arrays = [rng.uniform(-1, 1, size=_lead(batch) + (c_in, h, w)),
+    arrays = [rng.uniform(-1, 1, size=(batch, c_in, h, w)),
               rng.uniform(-1, 1, size=(c_out, c_in, k, k))]
     return arrays, (True, False), \
         lambda g, t, row=None: g.conv2d(*t, stride=stride)
 
 
 def _draw_softmax(rng, batch):
-    x = rng.uniform(-3, 3, size=_lead(batch) + (int(rng.integers(1, 7)),))
+    x = rng.uniform(-3, 3, size=(batch, int(rng.integers(1, 7))))
     return [x], (True,), lambda g, t, row=None: g.softmax(t[0])
 
 
 def _draw_concat(rng, batch):
-    parts = [rng.uniform(-1, 1, size=_lead(batch) + (int(rng.integers(1, 5)),))
+    parts = [rng.uniform(-1, 1, size=(batch, int(rng.integers(1, 5))))
              for _ in range(int(rng.integers(2, 4)))]
     return parts, (True,) * len(parts), lambda g, t, row=None: g.concat(t)
 
 
 def _draw_reshape(rng, batch):
     m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    x = rng.uniform(-1, 1, size=_lead(batch) + (m, n))
+    x = rng.uniform(-1, 1, size=(batch, m, n))
     return [x], (True,), lambda g, t, row=None: g.reshape(
-        t[0], t[0].shape[:-2] + (m * n,))
+        t[0], (t[0].shape[0], m * n))
 
 
 def _index(rng, batch, size):
-    """One index, or for a batch one per row or (half the time) one int
-    shared by every row; and the index of row ``row``."""
-    if batch is None or rng.random() < 0.5:
+    """One index per row or (half the time) one int shared by every row;
+    and the index of the batch of one made of row ``row``."""
+    if rng.random() < 0.5:
         index = int(rng.integers(size))
         return index, lambda row: index
     index = [int(i) for i in rng.integers(size, size=batch)]
-    return index, lambda row: index[row]
+    return index, lambda row: index[row:row + 1]
 
 
 def _draw_pick(rng, batch):
     n = int(rng.integers(2, 7))
-    x = rng.uniform(-1, 1, size=_lead(batch) + (n,))
+    x = rng.uniform(-1, 1, size=(batch, n))
     index, of_row = _index(rng, batch, n)
     return [x], (True,), lambda g, t, row=None: g.pick(
         t[0], index if row is None else of_row(row))
 
 
 def _draw_row(rng, batch):
-    """A matrix per row, or (half the time with a batch) one matrix shared
-    by every row that each row looks up with its own index."""
+    """A matrix per row, or (half the time) one matrix shared by every row
+    that each row looks up with its own index."""
     m, n = int(rng.integers(2, 6)), int(rng.integers(1, 5))
-    lookup = batch is not None and rng.random() < 0.5
-    x = rng.uniform(-1, 1, size=(() if lookup else _lead(batch)) + (m, n))
+    lookup = rng.random() < 0.5
+    x = rng.uniform(-1, 1, size=(() if lookup else (batch,)) + (m, n))
     if lookup:
         index = [int(i) for i in rng.integers(m, size=batch)]
         return [x], (False,), lambda g, t, row=None: g.row(
-            t[0], index if row is None else index[row])
+            t[0], index if row is None else index[row:row + 1])
     index, of_row = _index(rng, batch, m)
     return [x], (True,), lambda g, t, row=None: g.row(
         t[0], index if row is None else of_row(row))
@@ -241,7 +233,7 @@ DRAWS: dict[str, Callable] = {
     "conv2d": _draw_conv2d,
     "conv1d_channels": _channelwise("conv1d_channels", max_channels=5),
     "bias_add_channels": _channelwise("bias_add_channels",
-                                      vector_batched=False),
+                                      shared_vector=True),
     "mul_channels": _channelwise("mul_channels"),
     "softmax": _draw_softmax,
     "concat": _draw_concat,
@@ -255,10 +247,10 @@ assert set(DRAWS) == set(OP_KINDS), "op registry out of sync"
 
 
 def case(op: str, rng) -> tuple[list[np.ndarray], Callable]:
-    """One random case of ``op``, unbatched or (half the time) a batch of
-    1 to 3 rows: its operand arrays and ``build(g, tensors)``, the loss
-    ``sum(w * op(tensors))`` recorded on ``g``."""
-    batch = None if rng.random() < 0.5 else int(rng.integers(1, 4))
+    """One random case of ``op`` on a batch of 1 to 3 rows: its operand
+    arrays and ``build(g, tensors)``, the loss ``sum(w * op(tensors))``
+    recorded on ``g``."""
+    batch = int(rng.integers(1, 4))
     arrays, _, call = DRAWS[op](rng, batch)
     dry = call(Graph(), [Tensor(a) for a in arrays])
     w = Tensor(rng.standard_normal(dry.shape))
@@ -346,8 +338,8 @@ def _rollout_loss(mconf, params, walk) -> tuple[Graph, Tensor]:
             x_l, att = start_episodes(g, params, mconf, x_l, att, restarts[t])
         out = nets.model_step(g, params, mconf, x_l, Tensor(images), att)
         log_p = g.log(g.pick(out.probs, gridnav.ACTIONS.index(action)))
-        term = g.sum_all(g.add(g.add(log_p, out.value),
-                               policy_entropy(g, out.probs)))
+        term = g.add(g.sum_all(g.add(log_p, out.value)),
+                     policy_entropy(g, out.probs))
         loss = term if loss is None else g.add(loss, term)
         att = out.next_attention_state
     return g, loss

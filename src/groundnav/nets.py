@@ -9,12 +9,11 @@ arithmetic is one ``lstm_cell`` tape node; the GRU instruction encoder runs
 once per episode and stays composed of elementwise ops. The fused state has
 length feat_h*feat_w in every variant so the policy heads stay comparable.
 
-Batches: every forward piece takes its per-frame inputs with or without
-one leading batch axis B (see ``autodiff``): images (B, 3, H, W), the
-instruction encoding (B, l) and the attention state (B, d) go in together,
-and every output gains the same axis, so one call steps B environments on
-one tape. Parameters are shared by the rows. An unbatched call records the
-nodes it always did.
+Batches: every per-frame input carries one leading batch axis B (see
+``autodiff``): images (B, 3, H, W), the instruction encoding (B, l) and the
+attention state (B, d) go in together, and every output carries the same
+axis, so one call steps B environments on one tape; one environment is a
+batch of one. Parameters are shared by the rows.
 """
 
 from __future__ import annotations
@@ -122,14 +121,13 @@ class AttentionState:
 
 
 def initial_attention_state(config: ModelConfig,
-                            batch: Optional[int] = None) -> AttentionState:
-    """The state before an episode's first frame: (d,) vectors, or (batch,
-    d) rows of them."""
+                            batch: int = 1) -> AttentionState:
+    """The state before an episode's first frame, (batch, d) rows."""
     # The first frame applies h_0 under lstm_output and C_0 under
     # lstm_cellstate. All ones is a pass-through under Hadamard and a uniform
     # channel weighting under 1D convolution, so C_0 is ones, and h_0 is ones
     # under lstm_output (zero would blank that frame) and zero otherwise.
-    shape = (config.d,) if batch is None else (batch, config.d)
+    shape = (batch, config.d)
     h0 = np.ones if config.attention_source == "lstm_output" else np.zeros
     return AttentionState(h=Tensor(h0(shape)), C=Tensor(np.ones(shape)))
 
@@ -259,11 +257,11 @@ def init_params(config: ModelConfig, seed: int) -> Params:
 
 def encode_image(g: Graph, params: Params, config: ModelConfig,
                  image: Tensor) -> Tensor:
-    if (image.data.ndim not in (3, 4)
-            or image.shape[-3:] != (3, config.render_h, config.render_w)):
+    if (image.data.ndim != 4
+            or image.shape[1:] != (3, config.render_h, config.render_w)):
         raise ValueError(
             f"image shape {image.shape}, expected "
-            f"([B,] 3, {config.render_h}, {config.render_w})")
+            f"(B, 3, {config.render_h}, {config.render_w})")
     x = image
     for i, (_, _, stride) in enumerate(config.conv_specs, start=1):
         x = g.conv2d(x, params[f"conv{i}_w"], stride=stride)
@@ -279,27 +277,28 @@ def token_ids(config: ModelConfig, tokens: Sequence[str]) -> list[int]:
 
 def encode_instruction(g: Graph, params: Params, config: ModelConfig,
                        tokens) -> Tensor:
-    """Final hidden state of a GRU over embedded tokens: (l,) for one token
-    sequence, (B, l) for a list of B sequences.
+    """Final hidden state (B, l) of a GRU over the embedded tokens of each
+    of a list of B token sequences.
 
-    A batch runs right-aligned: of T = max length steps, row b reads its
+    The rows run right-aligned: of T = max length steps, row b reads its
     tokens in the last len_b, and before that a ``mul`` by a 0/1 mask
     holds its h at the zero it starts from. So each row ends in the state
     its own encode reaches, and only steps where some row has no token yet
-    record a mask: an unbatched encode records 15 nodes per token.
+    record a mask: rows of one length record 15 nodes per token.
     """
-    batched = len(tokens) > 0 and not isinstance(tokens[0], str)
-    seqs = [token_ids(config, t) for t in tokens] if batched \
-        else [token_ids(config, tokens)]
+    # bench/run.py passes one flat sequence, lifted here to a batch of one;
+    # the benchmark-only change of ROADMAP item 2 removes this line
+    tokens = [tokens] if tokens and isinstance(tokens[0], str) else tokens
+    seqs = [token_ids(config, t) for t in tokens]
     if min(map(len, seqs), default=0) == 0:
         raise ValueError("empty token sequence")
     steps = max(map(len, seqs))
-    h = Tensor(np.zeros((len(seqs), config.l) if batched else config.l))
+    h = Tensor(np.zeros((len(seqs), config.l)))
     for t in range(steps):
         # row b's token at step t, or id 0 while it waits for its first
         live = [t >= steps - len(s) for s in seqs]
         ids = [s[t - steps + len(s)] if on else 0 for s, on in zip(seqs, live)]
-        x = g.row(params["embed"], ids if batched else ids[0])
+        x = g.row(params["embed"], ids)
         hx = g.concat([h, x])
         z = g.sigmoid(g.matvec(params["gru_wz"], hx, params["gru_bz"]))
         r = g.sigmoid(g.matvec(params["gru_wr"], hx, params["gru_br"]))
@@ -330,9 +329,8 @@ def attention_step(g: Graph, params: Params, config: ModelConfig,
 
 
 def _flatten_maps(g: Graph, maps: Tensor) -> Tensor:
-    """Channel-major maps (c, h, w) as one vector, or a batch (B, c, h, w)
-    as one vector per row."""
-    return g.reshape(maps, maps.shape[:-3] + (-1,))
+    """A batch of channel-major maps (B, c, h, w) as one vector per row."""
+    return g.reshape(maps, (maps.shape[0], -1))
 
 
 def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
@@ -393,10 +391,15 @@ class StepOutput:
 
 def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
                image: Tensor, prev: Optional[AttentionState]) -> StepOutput:
-    """Full per-frame forward pass: image encoder, fusion, policy heads.
+    """Full per-frame forward pass of a batch of images (B, 3, H, W):
+    image encoder, fusion, policy heads. Gives probabilities (B, actions)
+    and values (B,).
 
     Raises FloatingPointError, naming the first op with a non-finite
     output, if the action probabilities or the value are not finite."""
+    # bench/run.py passes one (3, H, W) image, lifted here to a batch of
+    # one; the benchmark-only change of ROADMAP item 2 removes this line
+    image = Tensor(image.data[None]) if image.data.ndim == 3 else image
     features = encode_image(g, params, config, image)
     _, attended, state, new_prev = fuse(g, params, config, x_l, features,
                                         prev)

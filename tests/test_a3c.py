@@ -14,6 +14,7 @@ from groundnav.a3c import (
     compute_losses,
     compute_returns,
     play_episode,
+    policy_entropy,
     total_loss,
     train,
     worker_update,
@@ -22,51 +23,58 @@ from groundnav.autodiff import Graph, Tensor
 from groundnav.nets import Params
 
 
-def _scalar_steps(g, rewards, dones, values=None, actions=None, n_actions=3):
-    """Rollout steps around a uniform policy; values are constants."""
+def _steps(g, rewards, dones, values=None, actions=None, n_actions=3):
+    """Rollout steps of a batch of one around a uniform policy; values are
+    constants."""
     steps = []
     values = values or [0.0] * len(rewards)
     actions = actions or [0] * len(rewards)
     for r, d, v, a in zip(rewards, dones, values, actions):
-        logits = Tensor(np.zeros(n_actions))
-        probs = g.softmax(logits)
+        probs = g.softmax(Tensor(np.zeros((1, n_actions))))
         lp = g.log(g.pick(probs, a))
-        ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
         steps.append(RolloutStep(log_prob=lp,
-                                 value=g.shift(g.sum_all(Tensor(0.0)), v),
-                                 entropy=ent, reward=r, done=d))
+                                 value=g.shift(Tensor(np.zeros(1)), v),
+                                 entropy=policy_entropy(g, probs),
+                                 reward=np.array([r]), done=np.array([d])))
     return steps
+
+
+def _row(returns):
+    """The one row of each return of a batch of one."""
+    assert all(r.shape == (1,) for r in returns)
+    return [float(r[0]) for r in returns]
 
 
 class TestComputeReturns:
     def test_single_terminal_step(self):
         g = Graph()
-        rollout = _scalar_steps(g, [1.0], [True])
-        assert compute_returns(rollout, 0.0, 0.99) == [1.0]
+        rollout = _steps(g, [1.0], [True])
+        assert _row(compute_returns(rollout, np.zeros(1), 0.99)) == [1.0]
 
     def test_all_zero_rewards_terminal(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0, 0.0, 0.0], [False, False, True])
-        assert compute_returns(rollout, 0.0, 0.99) == [0.0, 0.0, 0.0]
+        rollout = _steps(g, [0.0, 0.0, 0.0], [False, False, True])
+        assert _row(compute_returns(rollout, np.zeros(1), 0.99)) == \
+            [0.0, 0.0, 0.0]
 
     def test_hand_recursion_oracle(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0, 0.0, -0.2], [False, False, True])
-        returns = compute_returns(rollout, 0.0, 0.99)
+        rollout = _steps(g, [0.0, 0.0, -0.2], [False, False, True])
+        returns = _row(compute_returns(rollout, np.zeros(1), 0.99))
         np.testing.assert_allclose(returns, [-0.19602, -0.198, -0.2],
                                    atol=1e-12)
 
     def test_bootstrap_value_used_when_truncated(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0, 0.5], [False, False])
-        returns = compute_returns(rollout, 2.0, 0.5)
+        rollout = _steps(g, [0.0, 0.5], [False, False])
+        returns = _row(compute_returns(rollout, np.full(1, 2.0), 0.5))
         assert returns[1] == pytest.approx(0.5 + 0.5 * 2.0)
         assert returns[0] == pytest.approx(0.5 * returns[1])
 
     def test_done_resets_recursion(self):
         g = Graph()
-        rollout = _scalar_steps(g, [1.0, 0.3], [True, False])
-        returns = compute_returns(rollout, 9.0, 0.9)
+        rollout = _steps(g, [1.0, 0.3], [True, False])
+        returns = _row(compute_returns(rollout, np.full(1, 9.0), 0.9))
         # the terminal at t=0 must not see anything after it
         assert returns[0] == pytest.approx(1.0)
         assert returns[1] == pytest.approx(0.3 + 0.9 * 9.0)
@@ -77,44 +85,45 @@ class TestComputeReturns:
         rewards = rng.uniform(-1, 1, 15).tolist()
         dones = (rng.random(15) < 0.2).tolist()
         dones[-1] = True
-        rollout = _scalar_steps(g, rewards, dones)
+        rollout = _steps(g, rewards, dones)
         gamma = 0.97
-        returns = compute_returns(rollout, 0.0, gamma)
+        returns = _row(compute_returns(rollout, np.zeros(1), gamma))
         for t in range(14):
-            if not rollout[t].done:
+            if not rollout[t].done[0]:
                 assert returns[t] - gamma * returns[t + 1] == \
                     pytest.approx(rewards[t])
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            compute_returns([], 0.0, 0.99)
+            compute_returns([], np.zeros(1), 0.99)
 
 
 class TestComputeLosses:
     def test_zero_advantage_zero_policy_loss(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.5, 0.5], [False, False],
+        rollout = _steps(g, [0.5, 0.5], [False, False],
                                 values=[0.5 + 0.5 * 0.5, 0.5])
         # gamma=1 with bootstrap 0 would not give zero advantage; build
         # returns directly equal to the stored values instead
-        returns = [rollout[0].value.item(), rollout[1].value.item()]
+        returns = [rollout[0].value.data, rollout[1].value.data]
         policy_loss, _, _ = compute_losses(g, rollout, returns)
         assert policy_loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_policy_entropy(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0] * 4, [False] * 4)
-        _, _, entropy = compute_losses(g, rollout, [0.0] * 4)
+        rollout = _steps(g, [0.0] * 4, [False] * 4)
+        _, _, entropy = compute_losses(g, rollout, [np.zeros(1)] * 4)
         assert entropy.item() == pytest.approx(4 * math.log(3), abs=1e-9)
 
     def test_two_step_scalar_oracle(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0, 1.0], [False, True],
+        rollout = _steps(g, [0.0, 1.0], [False, True],
                                 values=[0.25, 0.5], actions=[1, 2])
         gamma = 0.9
-        returns = compute_returns(rollout, 0.0, gamma)
+        returns = compute_returns(rollout, np.zeros(1), gamma)
         policy_loss, value_loss, entropy = compute_losses(g, rollout, returns)
         # oracle: uniform policy, log pi = -log 3 at each step
+        returns = _row(returns)
         adv = [returns[0] - 0.25, returns[1] - 0.5]
         exp_policy = sum(-(-math.log(3)) * a for a in adv)
         exp_value = sum((r - v) ** 2 for r, v in zip(returns, [0.25, 0.5]))
@@ -124,23 +133,23 @@ class TestComputeLosses:
 
     def test_misaligned_returns_rejected(self):
         g = Graph()
-        rollout = _scalar_steps(g, [0.0], [True])
+        rollout = _steps(g, [0.0], [True])
         with pytest.raises(ValueError):
-            compute_losses(g, rollout, [0.0, 0.0])
+            compute_losses(g, rollout, [np.zeros(1)] * 2)
 
     def test_advantage_carries_no_gradient_into_value(self):
         # policy term must not push the value head: with a leaf value
         # tensor, backward of the policy loss alone leaves it ungraded
         g = Graph()
-        v = Tensor(np.asarray(0.3), requires_grad=True)
-        logits = Tensor(np.zeros(3), requires_grad=True)
+        v = Tensor(np.full(1, 0.3), requires_grad=True)
+        logits = Tensor(np.zeros((1, 3)), requires_grad=True)
         probs = g.softmax(logits)
         lp = g.log(g.pick(probs, 0))
-        ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
         rollout = [RolloutStep(log_prob=lp,
                                value=g.shift(g.scale(v, 1.0), 0.0),
-                               entropy=ent, reward=1.0, done=True)]
-        policy_loss, _, _ = compute_losses(g, rollout, [1.0])
+                               entropy=policy_entropy(g, probs),
+                               reward=np.ones(1), done=np.array([True]))]
+        policy_loss, _, _ = compute_losses(g, rollout, [np.ones(1)])
         g.backward(policy_loss)
         assert v.grad is None or np.allclose(v.grad, 0.0)
         assert logits.grad is not None
@@ -214,24 +223,25 @@ def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
         g = Graph()
         rollout = []
         for _ in range(rollouts_per_update):
-            probs = g.softmax(g.scale(params["logits"], 1.0))
-            value = g.pick(g.scale(params["v"], 1.0), 0)
-            p = probs.data / probs.data.sum()
+            # the bandit's one state, a batch of one
+            probs = g.softmax(g.reshape(params["logits"], (1, 2)))
+            value = g.pick(g.reshape(params["v"], (1, 1)), 0)
+            p = probs.data[0] / probs.data.sum()
             action = int(rng.choice(2, p=p))
             reward = 1.0 if action == 0 else 0.0
             lp = g.log(g.pick(probs, action))
-            ent = g.scale(g.sum_all(g.mul(probs, g.log(probs))), -1.0)
-            rollout.append(RolloutStep(log_prob=lp,
-                                       value=value, entropy=ent, reward=reward,
-                                       done=True))
-        returns = compute_returns(rollout, 0.0, config.gamma)
+            rollout.append(RolloutStep(log_prob=lp, value=value,
+                                       entropy=policy_entropy(g, probs),
+                                       reward=np.array([reward]),
+                                       done=np.array([True])))
+        returns = compute_returns(rollout, np.zeros(1), config.gamma)
         losses = compute_losses(g, rollout, returns)
         loss = total_loss(g, *losses, config)
         params.zero_grads()
         g.backward(loss)
         grads = {n: t.grad for n, t in params.items()}
         worker_update(params, opt, grads, config)
-    probs = Graph().softmax(Tensor(params["logits"].data.copy())).data
+    probs = Graph().softmax(Tensor(params["logits"].data[None])).data[0]
     return probs[0], params["v"].data[0]
 
 
@@ -425,9 +435,8 @@ class TestTrainLoop:
 
         def recording_step(g, params, config, x_l, image, prev):
             # one call steps every environment of the batch: one entry per
-            # row; a batch of one runs unbatched, (3, H, W)
-            seen.extend([params] * (len(image.data) if image.data.ndim == 4
-                                    else 1))
+            # row
+            seen.extend([params] * len(image.data))
             return model_step(g, params, config, x_l, image, prev)
 
         monkeypatch.setattr(a3c, "model_step", recording_step)
@@ -557,11 +566,10 @@ def _rollout_gradient(mconf, params, workers, max_frames):
     """Gradient of one lockstep rollout of ``workers`` from a fresh
     attention state, the run stopping after ``max_frames`` (0: never)."""
     tconf = TrainerConfig(n_steps=12, max_frames=max_frames)
-    batch = None if len(workers) == 1 else len(workers)
     g = Graph()
     rollout, bootstrap, _ = a3c._rollout(
         g, params, tconf, mconf, workers,
-        nets.initial_attention_state(mconf, batch), Collector(tconf))
+        nets.initial_attention_state(mconf, len(workers)), Collector(tconf))
     returns = compute_returns(rollout, 0.0 if bootstrap is None else bootstrap,
                               tconf.gamma)
     loss = total_loss(g, *compute_losses(g, rollout, returns), tconf)
@@ -602,6 +610,44 @@ class TestLockstep:
         for name, grad in lockstep.items():
             want = alone[0][name] + alone[1][name]
             assert np.abs(grad - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+    @pytest.mark.parametrize("partner", [False, True],
+                             ids=["alone", "with_a_partner"])
+    def test_episode_ending_on_the_last_step_is_not_encoded(
+            self, tiny_model, monkeypatch, partner):
+        # stream 1's episode ends on its 5th frame, the last step of a
+        # 5-step rollout: the next rollout encodes every row, so this one
+        # encodes only at its start, and hands on that row's attention
+        # state reset while a partner row's carries on
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 7)
+        streams = self.STREAMS if partner else self.STREAMS[1:]
+        workers = [_scripted_worker(mconf, corpus, seed, corpus.train[ins],
+                                    env_seed, actions)
+                   for seed, ins, env_seed, actions in streams]
+        encoded = []
+        encode = a3c.encode_instruction
+
+        def counted(g, params, config, tokens):
+            encoded.append(len(tokens))
+            return encode(g, params, config, tokens)
+
+        monkeypatch.setattr(a3c, "encode_instruction", counted)
+        tconf = TrainerConfig(n_steps=5)
+        rollout, bootstrap, att = a3c._rollout(
+            Graph(), params, tconf, mconf, workers,
+            nets.initial_attention_state(mconf, len(workers)),
+            Collector(tconf))
+        assert len(rollout) == 5
+        assert [step.done[-1] for step in rollout] == [False] * 4 + [True]
+        assert encoded == [len(workers)]
+        assert (bootstrap is None) == (not partner)
+        init = nets.initial_attention_state(mconf)
+        for got, want in ((att.h, init.h), (att.C, init.C)):
+            assert got.data[-1].tobytes() == want.data[0].tobytes()
+            if partner:
+                assert not np.array_equal(got.data[0], want.data[0])
 
 
 def _overflowing_trunk(params: Params) -> Params:

@@ -72,7 +72,7 @@ def lstm_composed(g, h, x, c_prev, wf, bf, wi, bi, wc, bc, wo, bo):
     3 sigmoid, 2 tanh, 3 mul, add): the reference it must match bit for
     bit. The forget gate reads h alone when wf is as wide as h."""
     hx = g.concat([h, x])
-    f_in = h if wf.shape[1] == h.shape[0] else hx
+    f_in = h if wf.shape[1] == h.shape[1] else hx
     f = g.sigmoid(g.matvec(wf, f_in, bf))
     i = g.sigmoid(g.matvec(wi, hx, bi))
     cbar = g.tanh(g.matvec(wc, hx, bc))
@@ -87,15 +87,15 @@ def lstm_fused(g, h, x, c_prev, *weights):
 
 
 def conv2d_input_grad(x, kern, stride, weights):
-    """x.grad of sum(weights * conv2d(x, kern)) next to the slab fold of
-    the same column gradient."""
-    x = Tensor(x, requires_grad=True)
+    """x.grad of sum(weights * conv2d(x, kern)) for one image x, a batch of
+    one, next to the slab fold of the same column gradient."""
+    x = Tensor(x[None], requires_grad=True)
     g = Graph()
     out = g.conv2d(x, Tensor(kern), stride=stride)
-    g.backward(g.sum_all(g.mul(out, Tensor(weights))))
+    g.backward(g.sum_all(g.mul(out, Tensor(weights[None]))))
     c_out, _, k, _ = kern.shape
     gcols = kern.reshape(c_out, -1).T @ weights.reshape(c_out, -1)
-    return x.grad, slab_fold(gcols, x.shape, k, stride)
+    return x.grad[0], slab_fold(gcols, x.shape[1:], k, stride)
 
 
 def conv1d_channels_loop(features, attention):
@@ -153,7 +153,7 @@ class TestElementwise:
     def test_matvec_bias_shape_rejected(self, bias_shape):
         g = Graph()
         with pytest.raises(ValueError, match="bias"):
-            g.matvec(Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
+            g.matvec(Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))),
                      Tensor(np.zeros(bias_shape)))
 
 
@@ -166,9 +166,12 @@ class TestLstmCell:
         rng = np.random.default_rng(11)
         d, n = 5, 7
         nf = d + n if forget_sees_input else d
-        shapes = [(d,), (n,), (d,), (d, nf), (d,)] + [(d, d + n), (d,)] * 3
+        # h, x and c_prev are a batch of one
+        shapes = [(1, d), (1, n), (1, d), (d, nf), (d,)] \
+            + [(d, d + n), (d,)] * 3
         arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
-        u_h, u_c = Tensor(rng.standard_normal(d)), Tensor(rng.standard_normal(d))
+        u_h = Tensor(rng.standard_normal((1, d)))
+        u_c = Tensor(rng.standard_normal((1, d)))
         results = []
         for step in (lstm_composed, lstm_fused):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -196,10 +199,11 @@ class TestLstmCell:
 
     def test_shapes_rejected(self):
         d, n = 2, 5
-        ok = [np.zeros(n), np.zeros(d), np.zeros((d, d)), np.zeros(d)] + \
-            [np.zeros((d, n)), np.zeros(d)] * 3
+        ok = [np.zeros((1, n)), np.zeros((1, d)), np.zeros((d, d)),
+              np.zeros(d)] + [np.zeros((d, n)), np.zeros(d)] * 3
         Graph().lstm_cell(*map(Tensor, ok))
-        for index, bad in [(0, np.zeros(n + 1)), (1, np.zeros(d + 1)),
+        for index, bad in [(0, np.zeros((1, n + 1))), (1, np.zeros((1, d + 1))),
+                           (1, np.zeros((2, d))),
                            (2, np.zeros((d, n + 1))), (3, np.zeros(d + 1)),
                            (8, np.zeros((d + 1, n))), (9, np.zeros((d, 1)))]:
             operands = list(ok)
@@ -211,16 +215,17 @@ class TestLstmCell:
 class TestConv2d:
     def test_all_ones(self):
         g = Graph()
-        out = g.conv2d(Tensor(np.ones((1, 3, 3))),
+        out = g.conv2d(Tensor(np.ones((1, 1, 3, 3))),
                        Tensor(np.ones((1, 1, 3, 3))), stride=1)
-        np.testing.assert_allclose(out.data, [[[9.0]]])
+        np.testing.assert_allclose(out.data, [[[[9.0]]]])
 
     def test_ramp_strided_matches_loop_oracle(self):
         x = np.arange(16, dtype=float).reshape(1, 4, 4)
         k = np.array([[[[1.0, 0.0], [0.0, -1.0]]]])
         g = Graph()
-        out = g.conv2d(Tensor(x), Tensor(k), stride=2)
-        np.testing.assert_allclose(out.data, conv2d_loop(x, k, 2), atol=1e-12)
+        out = g.conv2d(Tensor(x[None]), Tensor(k), stride=2)
+        np.testing.assert_allclose(out.data[0], conv2d_loop(x, k, 2),
+                                   atol=1e-12)
 
     # the paper's strides; with stride > 1 the sizes leave trailing rows and
     # columns that no window covers, whose input gradient must stay zero
@@ -230,19 +235,19 @@ class TestConv2d:
     def test_random_matches_loop_oracle(self, k, stride, h, w):
         assert stride == 1 or ((h - k) % stride and (w - k) % stride)
         rng = np.random.default_rng(11)
-        x = Tensor(rng.uniform(-1, 1, (3, h, w)), requires_grad=True)
+        x = Tensor(rng.uniform(-1, 1, (1, 3, h, w)), requires_grad=True)
         kern = Tensor(rng.uniform(-1, 1, (4, 3, k, k)), requires_grad=True)
         g = Graph()
         out = g.conv2d(x, kern, stride=stride)
         np.testing.assert_allclose(
-            out.data, conv2d_loop(x.data, kern.data, stride), atol=1e-12)
+            out.data[0], conv2d_loop(x.data[0], kern.data, stride), atol=1e-12)
         weights = rng.standard_normal(out.shape)
         g.backward(g.sum_all(g.mul(out, Tensor(weights))))
-        gx, gk = conv2d_loop_adjoint(x.data, kern.data, stride, weights)
-        np.testing.assert_allclose(x.grad, gx, atol=1e-12)
+        gx, gk = conv2d_loop_adjoint(x.data[0], kern.data, stride, weights[0])
+        np.testing.assert_allclose(x.grad[0], gx, atol=1e-12)
         np.testing.assert_allclose(kern.grad, gk, atol=1e-12)
-        folded, reference = conv2d_input_grad(x.data, kern.data, stride,
-                                              weights)
+        folded, reference = conv2d_input_grad(x.data[0], kern.data, stride,
+                                              weights[0])
         np.testing.assert_array_equal(folded, reference)
 
     def test_paper_fold_matches_slab_loop_bitwise(self):
@@ -255,21 +260,22 @@ class TestConv2d:
         np.testing.assert_array_equal(folded, reference)
 
     def test_fold_index_is_read_only(self):
-        index = autodiff._fold_index((2, 5, 6), 3, 2)
-        assert index is autodiff._fold_index((2, 5, 6), 3, 2)
+        index = autodiff._fold_index((1, 2, 5, 6), 3, 2)
+        assert index is autodiff._fold_index((1, 2, 5, 6), 3, 2)
         with pytest.raises(ValueError):
             index[0] = 1
 
     def test_kernel_larger_than_input(self):
         g = Graph()
         with pytest.raises(ValueError):
-            g.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+            g.conv2d(Tensor(np.ones((1, 1, 2, 2))),
+                     Tensor(np.ones((1, 1, 3, 3))))
 
     def test_output_shape_floor(self):
         g = Graph()
-        out = g.conv2d(Tensor(np.ones((2, 11, 15))),
+        out = g.conv2d(Tensor(np.ones((1, 2, 11, 15))),
                        Tensor(np.ones((5, 2, 4, 4))), stride=2)
-        assert out.shape == (5, 4, 6)
+        assert out.shape == (1, 5, 4, 6)
 
 
 class TestConv1dChannels:
@@ -280,41 +286,42 @@ class TestConv1dChannels:
             att = np.zeros(5)
             att[c] = 1.0
             g = Graph()
-            out = g.conv1d_channels(Tensor(f), Tensor(att))
-            np.testing.assert_allclose(out.data[0], f[c], atol=1e-15)
+            out = g.conv1d_channels(Tensor(f[None]), Tensor(att[None]))
+            np.testing.assert_allclose(out.data[0, 0], f[c], atol=1e-15)
 
     def test_uniform_attention_is_mean_map(self):
         rng = np.random.default_rng(1)
         f = rng.uniform(-1, 1, (4, 2, 2))
         g = Graph()
-        out = g.conv1d_channels(Tensor(f), Tensor(np.full(4, 0.25)))
-        np.testing.assert_allclose(out.data[0], f.mean(axis=0), atol=1e-12)
+        out = g.conv1d_channels(Tensor(f[None]), Tensor(np.full((1, 4), 0.25)))
+        np.testing.assert_allclose(out.data[0, 0], f.mean(axis=0), atol=1e-12)
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(2)
         f = rng.uniform(-1, 1, (4, 2, 2))
         att = rng.uniform(-1, 1, 4)
         g = Graph()
-        out = g.conv1d_channels(Tensor(f), Tensor(att))
-        np.testing.assert_allclose(out.data, conv1d_channels_loop(f, att),
+        out = g.conv1d_channels(Tensor(f[None]), Tensor(att[None]))
+        np.testing.assert_allclose(out.data[0], conv1d_channels_loop(f, att),
                                    atol=1e-12)
 
     def test_length_mismatch(self):
         g = Graph()
         with pytest.raises(ValueError):
-            g.conv1d_channels(Tensor(np.ones((3, 2, 2))), Tensor(np.ones(4)))
+            g.conv1d_channels(Tensor(np.ones((1, 3, 2, 2))),
+                              Tensor(np.ones((1, 4))))
 
 
 class TestSoftmax:
     def test_uniform(self):
         g = Graph()
-        out = g.softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = g.softmax(Tensor([[0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            x = rng.uniform(-5, 5, int(rng.integers(1, 8)))
+            x = rng.uniform(-5, 5, (1, int(rng.integers(1, 8))))
             kappa = float(rng.uniform(-100, 100))
             a = Graph().softmax(Tensor(x)).data
             b = Graph().softmax(Tensor(x + kappa)).data
@@ -322,15 +329,15 @@ class TestSoftmax:
 
     def test_scalar_exp_oracle(self):
         g = Graph()
-        out = g.softmax(Tensor([1.0, 2.0, 3.0]))
+        out = g.softmax(Tensor([[1.0, 2.0, 3.0]]))
         z = [math.exp(1), math.exp(2), math.exp(3)]
         expected = [v / sum(z) for v in z]
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_sum_to_one_for_random_logits(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            x = rng.uniform(-50, 50, int(rng.integers(1, 10)))
+            x = rng.uniform(-50, 50, (1, int(rng.integers(1, 10))))
             p = Graph().softmax(Tensor(x)).data
             assert abs(p.sum() - 1.0) < 1e-9
             assert (p > 0).all()
@@ -347,7 +354,7 @@ class TestBackward:
     def test_sigmoid_affine_finite_differences(self):
         rng = np.random.default_rng(6)
         w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-        x = Tensor(rng.uniform(-1, 1, 4))
+        x = Tensor(rng.uniform(-1, 1, (1, 4)))
         b = Tensor(np.zeros(3))
 
         def loss_value():
@@ -398,7 +405,7 @@ class TestBackward:
     def test_tape_freed_without_cycle_collector(self):
         # a finished tape must go as soon as its Graph is dropped: its patch
         # matrices and closures dominate the memory of a rollout
-        x = Tensor(np.ones((2, 6, 6)), requires_grad=True)
+        x = Tensor(np.ones((1, 2, 6, 6)), requires_grad=True)
         k = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
         enabled = gc.isenabled()
         gc.disable()
@@ -466,18 +473,28 @@ class TestTensorInvariants:
         def forward():
             rng = np.random.default_rng(42)
             g = Graph()
-            a = Tensor(rng.uniform(-1, 1, (3, 5, 5)))
+            a = Tensor(rng.uniform(-1, 1, (1, 3, 5, 5)))
             k = Tensor(rng.uniform(-1, 1, (2, 3, 3, 3)))
             h = g.relu(g.conv2d(a, k))
-            return g.softmax(g.reshape(h, (-1,))).data
+            return g.softmax(g.reshape(h, (1, -1))).data
 
         one, two = forward(), forward()
         assert (one == two).all()
 
 
 # ops whose batched call folds its rows into one GEMM, so the sums over rows
-# (and so every row's values) may differ from the rows' own in the last bits
+# (and so every row's values) may differ from the rows' own in the last bits;
+# sum_all adds every row's entries in one sum, so its output may differ from
+# the sum of its rows' sums in the same way
 GEMM_OPS = ("matvec", "lstm_cell", "conv2d")
+
+
+def _in_order(arrays):
+    """The sum of ``arrays``, added in order."""
+    total = arrays[0]
+    for a in arrays[1:]:
+        total = total + a
+    return total
 
 
 def _call_and_backward(call, arrays, weights, row=None):
@@ -492,13 +509,55 @@ def _call_and_backward(call, arrays, weights, row=None):
                       for t in leaves]
 
 
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+# every op that checks ranks, called on operands with the leading batch axis
+# ``lead`` of its per-frame operands: (1,) for a batch of one, () for the
+# unbatched ranks they had before every call took a batch
+RANK_CHECKED = {
+    "matvec": lambda g, lead: g.matvec(_ones(3, 2), _ones(*lead, 2),
+                                       _ones(3)),
+    "lstm_cell": lambda g, lead: g.lstm_cell(
+        _ones(*lead, 5), _ones(*lead, 2), _ones(2, 2), _ones(2),
+        *[_ones(*shape) for shape in [(2, 5), (2,)] * 3]),
+    "conv2d": lambda g, lead: g.conv2d(_ones(*lead, 1, 3, 3),
+                                       _ones(1, 1, 2, 2)),
+    "conv1d_channels": lambda g, lead: g.conv1d_channels(
+        _ones(*lead, 4, 2, 2), _ones(*lead, 4)),
+    "bias_add_channels": lambda g, lead: g.bias_add_channels(
+        _ones(*lead, 4, 2, 2), _ones(4)),
+    "mul_channels": lambda g, lead: g.mul_channels(_ones(*lead, 4, 2, 2),
+                                                   _ones(*lead, 4)),
+    "softmax": lambda g, lead: g.softmax(_ones(*lead, 3)),
+    "concat": lambda g, lead: g.concat([_ones(*lead, 2), _ones(*lead, 3)]),
+    "pick": lambda g, lead: g.pick(_ones(*lead, 3), 1),
+    "row": lambda g, lead: g.row(_ones(*lead, 3, 2), 1),
+}
+
+
 class TestBatchedOps:
+    @pytest.mark.parametrize("op", list(RANK_CHECKED))
+    def test_unbatched_rank_rejected(self, op):
+        # one environment is a batch of one: the ranks without the batch
+        # axis are refused, and record nothing
+        g = Graph()
+        out = RANK_CHECKED[op](g, (1,))
+        assert g.nodes[-1].output is out
+        g = Graph()
+        with pytest.raises(ValueError):
+            RANK_CHECKED[op](g, ())
+        assert g.nodes == []
+
     @pytest.mark.parametrize("batch", [1, 2, 3])
     @pytest.mark.parametrize("op", OP_KINDS)
     def test_batch_equals_its_rows(self, op, batch):
-        # a batched call gives the stack of its rows' unbatched outputs and
-        # operand gradients; a shared operand (a weight) gets the sum of the
-        # rows' gradients, in row order
+        # a batch gives its rows' outputs and operand gradients, each row's
+        # taken from the batch of one made of that row (a[r:r + 1]), stacked;
+        # a shared operand (a weight) gets the sum of the rows' gradients, in
+        # row order. sum_all's scalar output, whose weight every row shares,
+        # is the sum of its rows' outputs.
         rng = np.random.default_rng([gradcheck._op_tag(op), batch])
         for _ in range(10):
             arrays, batched, call = gradcheck.DRAWS[op](rng, batch)
@@ -506,22 +565,19 @@ class TestBatchedOps:
             weights = rng.standard_normal(dry.shape)
             out, grads = _call_and_backward(call, arrays, weights)
             rows = [_call_and_backward(
-                call, [a[r] if b else a for a, b in zip(arrays, batched)],
-                weights[r], r) for r in range(batch)]
-            want_out = np.stack([o for o, _ in rows])
+                call, [a[r:r + 1] if b else a for a, b in zip(arrays, batched)],
+                weights[r:r + 1] if weights.ndim else weights, r)
+                for r in range(batch)]
+            want_out = np.concatenate([o for o, _ in rows]) if out.ndim \
+                else _in_order([o for o, _ in rows])
             want_grads = []
             for i, b in enumerate(batched):
                 per_row = [gr[i] for _, gr in rows]
-                if b:
-                    want_grads.append(np.stack(per_row))
-                else:
-                    total = per_row[0]
-                    for gr in per_row[1:]:
-                        total = total + gr
-                    want_grads.append(total)
+                want_grads.append(np.concatenate(per_row) if b
+                                  else _in_order(per_row))
             for got, want in zip([out] + grads, [want_out] + want_grads):
                 assert got.shape == want.shape
-                if op in GEMM_OPS:
+                if op in GEMM_OPS or (op == "sum_all" and got is out):
                     assert np.abs(got - want).max(initial=0.0) <= \
                         1e-12 * max(1.0, np.abs(want).max(initial=0.0))
                 else:

@@ -70,6 +70,11 @@ def lstm_scalar_oracle(weights, h, c, x, forget_sees_input=True):
     return h_new, c_new
 
 
+def one(image: Tensor) -> Tensor:
+    """An observation image (3, H, W) as a batch of one."""
+    return Tensor(image.data[None])
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return gridnav.build_corpus(7)
@@ -203,10 +208,11 @@ class TestInitParams:
                 state, obs = gridnav.reset(
                     k, "easy", ins, render_hw=(config.render_h, config.render_w))
                 g = Graph()
-                x_l = encode_instruction(g, params, config, ins.tokens)
+                x_l = encode_instruction(g, params, config, [ins.tokens])
                 att = initial_attention_state(config)
                 for _ in range(3):
-                    out = model_step(g, params, config, x_l, obs.image, att)
+                    out = model_step(g, params, config, x_l, one(obs.image),
+                                     att)
                     assert out.probs.data.max() < 0.5, (seed, ins.text)
                     att = out.next_attention_state
                     state, _, done = gridnav.advance(state, "move_forward")
@@ -220,8 +226,8 @@ class TestEncodeImage:
         params = init_params(small_config, 1)
         g = Graph()
         out = encode_image(g, params, small_config,
-                           Tensor(np.zeros((3, 27, 36))))
-        assert out.shape == (8, 1, 2)
+                           Tensor(np.zeros((1, 3, 27, 36))))
+        assert out.shape == (1, 8, 1, 2)
         assert (out.data == 0.0).all()
 
     def test_paper_output_shape(self, vocab):
@@ -230,18 +236,18 @@ class TestEncodeImage:
         g = Graph()
         out = encode_image(g, params, config,
                            Tensor(np.random.default_rng(0)
-                                  .uniform(0, 1, (3, 156, 300))))
-        assert out.shape == (64, 8, 17)
+                                  .uniform(0, 1, (1, 3, 156, 300))))
+        assert out.shape == (1, 64, 8, 17)
 
     def test_shape_mismatch_rejected(self, small_config):
         params = init_params(small_config, 1)
         with pytest.raises(ValueError):
             encode_image(Graph(), params, small_config,
-                         Tensor(np.zeros((3, 48, 64))))
+                         Tensor(np.zeros((1, 3, 48, 64))))
 
     def test_first_layer_kernel_gradient(self, small_config):
         params = init_params(small_config, 2)
-        image = Tensor(np.random.default_rng(3).uniform(0, 1, (3, 27, 36)))
+        image = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 3, 27, 36)))
 
         def loss_value():
             g = Graph()
@@ -272,28 +278,30 @@ class TestEncodeInstruction:
     def test_output_length(self, small_config):
         params = init_params(small_config, 0)
         out = encode_instruction(Graph(), params, small_config,
-                                 ("go", "to", "the", "red", "pillar"))
-        assert out.shape == (small_config.l,)
+                                 [("go", "to", "the", "red", "pillar")])
+        assert out.shape == (1, small_config.l)
 
     def test_zero_weights_zero_vector(self, small_config):
         params = init_params(small_config, 0)
         for name in params.names():
             if name.startswith("gru") or name == "embed":
                 params[name].data[...] = 0.0
-        out = encode_instruction(Graph(), params, small_config, ("go", "to"))
+        out = encode_instruction(Graph(), params, small_config, [("go", "to")])
         assert (out.data == 0.0).all()
 
     def test_empty_sequence_rejected(self, small_config):
         params = init_params(small_config, 0)
         with pytest.raises(ValueError):
             encode_instruction(Graph(), params, small_config, ())
+        with pytest.raises(ValueError):
+            encode_instruction(Graph(), params, small_config, [("go",), ()])
 
     def test_unknown_token_maps_to_unk(self, small_config):
         ids = token_ids(small_config, ("go", "xyzzy"))
         assert ids[1] == 0
         params = init_params(small_config, 1)
         out = encode_instruction(Graph(), params, small_config,
-                                 ("go", "xyzzy"))
+                                 [("go", "xyzzy")])
         assert np.isfinite(out.data).all()
 
     def test_matches_scalar_oracle(self, vocab):
@@ -310,17 +318,18 @@ class TestEncodeInstruction:
             params["gru_wr"].data.tolist(), params["gru_br"].data.tolist(),
             params["gru_wh"].data.tolist(), params["gru_bh"].data.tolist(),
             xs)
-        out = encode_instruction(Graph(), params, config, tokens)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        out = encode_instruction(Graph(), params, config, [tokens])
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_repeated_token_changes_encoding(self, vocab):
         config = ModelConfig(vocab=vocab, d=8, l=2, embed_dim=2, hidden=4,
                              render_h=27, render_w=36,
                              conv_specs=((4, 5, 3), (6, 4, 2), (8, 3, 1)))
         params = init_params(config, 4)
-        one = encode_instruction(Graph(), params, config, ("pillar",))
-        two = encode_instruction(Graph(), params, config, ("pillar", "pillar"))
-        assert (one.data != two.data).any()
+        once = encode_instruction(Graph(), params, config, [("pillar",)])
+        twice = encode_instruction(Graph(), params, config,
+                                   [("pillar", "pillar")])
+        assert (once.data != twice.data).any()
 
 
 class TestAttentionStep:
@@ -332,9 +341,9 @@ class TestAttentionStep:
         params["lstm_bf"].data[...] = 500.0   # sigmoid saturates to exactly 1
         params["lstm_bi"].data[...] = -500.0  # and to exactly 0
         rng = np.random.default_rng(1)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, 8)),
-                              C=Tensor(rng.uniform(-1, 1, 8)))
-        x = Tensor(rng.uniform(-1, 1, small_config.lstm_input_len))
+        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
+                              C=Tensor(rng.uniform(-1, 1, (1, 8))))
+        x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
         out = attention_step(Graph(), params, small_config, prev, x)
         np.testing.assert_array_equal(out.C.data, prev.C.data)
 
@@ -343,14 +352,14 @@ class TestAttentionStep:
         params["lstm_bf"].data[...] = -500.0
         params["lstm_bi"].data[...] = 500.0
         rng = np.random.default_rng(2)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, 8)),
-                              C=Tensor(rng.uniform(-1, 1, 8)))
-        x = Tensor(rng.uniform(-1, 1, small_config.lstm_input_len))
+        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
+                              C=Tensor(rng.uniform(-1, 1, (1, 8))))
+        x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
         g = Graph()
         out = attention_step(g, params, small_config, prev, x)
-        hx = np.concatenate([prev.h.data, x.data])
+        hx = np.concatenate([prev.h.data[0], x.data[0]])
         cbar = np.tanh(params["lstm_wc"].data @ hx + params["lstm_bc"].data)
-        np.testing.assert_allclose(out.C.data, cbar, atol=1e-12)
+        np.testing.assert_allclose(out.C.data[0], cbar, atol=1e-12)
 
     def test_matches_scalar_oracle(self, vocab):
         config = ModelConfig(vocab=vocab, d=2, l=2, embed_dim=2, hidden=4,
@@ -358,18 +367,18 @@ class TestAttentionStep:
                              conv_specs=((4, 5, 3), (6, 4, 2), (2, 3, 1)))
         rng = np.random.default_rng(5)
         params = init_params(config, 5)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, 2)),
-                              C=Tensor(rng.uniform(-1, 1, 2)))
-        x = Tensor(rng.uniform(-1, 1, config.lstm_input_len))
+        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 2))),
+                              C=Tensor(rng.uniform(-1, 1, (1, 2))))
+        x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
         out = attention_step(Graph(), params, config, prev, x)
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_wi", "lstm_bi",
             "lstm_wc", "lstm_bc", "lstm_wo", "lstm_bo"))
         h_exp, c_exp = lstm_scalar_oracle(
-            weights, prev.h.data.tolist(), prev.C.data.tolist(),
-            x.data.tolist())
-        np.testing.assert_allclose(out.h.data, h_exp, atol=1e-12)
-        np.testing.assert_allclose(out.C.data, c_exp, atol=1e-12)
+            weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
+            x.data[0].tolist())
+        np.testing.assert_allclose(out.h.data[0], h_exp, atol=1e-12)
+        np.testing.assert_allclose(out.C.data[0], c_exp, atol=1e-12)
 
     def test_literal_forget_gate_variant(self, vocab):
         config = ModelConfig(vocab=vocab, d=2, l=2, embed_dim=2, hidden=4,
@@ -379,54 +388,56 @@ class TestAttentionStep:
         params = init_params(config, 6)
         assert params["lstm_wf"].data.shape == (2, 2)
         rng = np.random.default_rng(6)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, 2)),
-                              C=Tensor(rng.uniform(-1, 1, 2)))
-        x = Tensor(rng.uniform(-1, 1, config.lstm_input_len))
+        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 2))),
+                              C=Tensor(rng.uniform(-1, 1, (1, 2))))
+        x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
         out = attention_step(Graph(), params, config, prev, x)
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_wi", "lstm_bi",
             "lstm_wc", "lstm_bc", "lstm_wo", "lstm_bo"))
         h_exp, c_exp = lstm_scalar_oracle(
-            weights, prev.h.data.tolist(), prev.C.data.tolist(),
-            x.data.tolist(), forget_sees_input=False)
-        np.testing.assert_allclose(out.h.data, h_exp, atol=1e-12)
-        np.testing.assert_allclose(out.C.data, c_exp, atol=1e-12)
+            weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
+            x.data[0].tolist(), forget_sees_input=False)
+        np.testing.assert_allclose(out.h.data[0], h_exp, atol=1e-12)
+        np.testing.assert_allclose(out.C.data[0], c_exp, atol=1e-12)
 
     def test_dimension_mismatch(self, small_config):
         params = self._params(small_config)
         prev = initial_attention_state(small_config)
         with pytest.raises(ValueError):
             attention_step(Graph(), params, small_config, prev,
-                           Tensor(np.zeros(3)))
+                           Tensor(np.zeros((1, 3))))
 
 
 class TestApplyAttention:
     @staticmethod
     def _carried(c):
-        # under lstm_cellstate, fuse applies the carried cell state
-        return AttentionState(h=Tensor(np.zeros(len(c))), C=Tensor(c))
+        # under lstm_cellstate, fuse applies the carried cell state; a batch
+        # of one
+        return AttentionState(h=Tensor(np.zeros((1, len(c)))),
+                              C=Tensor(c[None]))
 
     def test_conv1d_one_hot(self, small_config):
         params = init_params(small_config, 1)
         rng = np.random.default_rng(1)
-        features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+        features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
         att = np.zeros(8)
         att[3] = 1.0
         _, maps, state, _ = fuse(Graph(), params, small_config,
-                                 Tensor(np.zeros(8)), features,
+                                 Tensor(np.zeros((1, 8))), features,
                                  self._carried(att))
-        np.testing.assert_allclose(state.data, features.data[3].reshape(-1),
-                                   atol=1e-14)
-        assert maps.shape == (1, 1, 2)
+        np.testing.assert_allclose(state.data[0],
+                                   features.data[0, 3].reshape(-1), atol=1e-14)
+        assert maps.shape == (1, 1, 1, 2)
 
     def test_conv1d_state_length(self, small_config):
         params = init_params(small_config, 1)
         rng = np.random.default_rng(2)
-        features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+        features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
         _, _, state, _ = fuse(Graph(), params, small_config,
-                              Tensor(np.zeros(8)), features,
+                              Tensor(np.zeros((1, 8))), features,
                               self._carried(rng.uniform(0, 1, 8)))
-        assert state.shape == (small_config.state_len,)
+        assert state.shape == (1, small_config.state_len)
 
     def test_hadamard_ones_is_fc_of_features(self, vocab):
         config = ModelConfig(vocab=vocab, d=8, l=8, embed_dim=4, hidden=8,
@@ -435,13 +446,14 @@ class TestApplyAttention:
                              application="hadamard_fc")
         params = init_params(config, 3)
         rng = np.random.default_rng(3)
-        features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
-        _, maps, state, _ = fuse(Graph(), params, config, Tensor(np.zeros(8)),
-                                 features, self._carried(np.ones(8)))
+        features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
+        _, maps, state, _ = fuse(Graph(), params, config,
+                                 Tensor(np.zeros((1, 8))), features,
+                                 self._carried(np.ones(8)))
         expected = params["had_w"].data @ features.data.reshape(-1) \
             + params["had_b"].data
-        np.testing.assert_allclose(state.data, expected, atol=1e-12)
-        assert state.shape == (config.state_len,)
+        np.testing.assert_allclose(state.data[0], expected, atol=1e-12)
+        assert state.shape == (1, config.state_len)
         np.testing.assert_array_equal(maps.data, features.data)
 
     def test_unknown_application(self, small_config):
@@ -463,11 +475,11 @@ class TestComputeAttention:
         params = init_params(config, 7)
         rng = np.random.default_rng(7)
         g = Graph()
-        x_l = Tensor(rng.uniform(-1, 1, 8))
+        x_l = Tensor(rng.uniform(-1, 1, (1, 8)))
         prev = initial_attention_state(config)
         vectors = []
         for _ in range(5):
-            features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+            features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
             att, _, _, prev = fuse(g, params, config, x_l, features, prev)
             vectors.append(att.data.tobytes())
         assert len(set(vectors)) == 1
@@ -478,11 +490,11 @@ class TestComputeAttention:
         params = init_params(small_config, 8)
         rng = np.random.default_rng(8)
         g = Graph()
-        x_l = Tensor(rng.uniform(-1, 1, 8))
+        x_l = Tensor(rng.uniform(-1, 1, (1, 8)))
         prev = initial_attention_state(small_config)
         vectors = []
         for _ in range(3):
-            features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+            features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
             att, _, _, prev = fuse(g, params, small_config, x_l, features,
                                    prev)
             vectors.append(att.data.copy())
@@ -504,15 +516,15 @@ class TestComputeAttention:
         h, c = [0.0, 0.0], [1.0, 1.0]
         prev = initial_attention_state(config)
         for t in range(2):
-            att, _, _, prev = fuse(g, params, config, Tensor(x_l),
-                                   Tensor(feats[t]), prev)
-            np.testing.assert_allclose(att.data, c, atol=1e-12)
+            att, _, _, prev = fuse(g, params, config, Tensor(x_l[None]),
+                                   Tensor(feats[t][None]), prev)
+            np.testing.assert_allclose(att.data[0], c, atol=1e-12)
             # oracle: apply current attention, then update the cell
             state = [sum(c[k] * feats[t][k, i, j] for k in range(2))
                      for i in range(1) for j in range(2)]
             x_t = state + list(x_l)
             h, c = lstm_scalar_oracle(weights, h, c, x_t)
-        np.testing.assert_allclose(prev.C.data, c, atol=1e-12)
+        np.testing.assert_allclose(prev.C.data[0], c, atol=1e-12)
 
     def test_lstm_output_source_uses_h(self, small_config):
         params = init_params(small_config, 11)
@@ -520,8 +532,8 @@ class TestComputeAttention:
         config = ModelConfig(**{**small_config.__dict__,
                                 "attention_source": "lstm_output"})
         g = Graph()
-        x_l = Tensor(rng.uniform(-1, 1, 8))
-        features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+        x_l = Tensor(rng.uniform(-1, 1, (1, 8)))
+        features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
         prev = initial_attention_state(config)
         att, _, _, new = fuse(g, params, config, x_l, features, prev)
         np.testing.assert_array_equal(att.data, prev.h.data)
@@ -530,8 +542,8 @@ class TestComputeAttention:
     def test_missing_prev_state_rejected(self, small_config):
         params = init_params(small_config, 0)
         with pytest.raises(ValueError):
-            fuse(Graph(), params, small_config, Tensor(np.zeros(8)),
-                 Tensor(np.zeros((8, 1, 2))), None)
+            fuse(Graph(), params, small_config, Tensor(np.zeros((1, 8))),
+                 Tensor(np.zeros((1, 8, 1, 2))), None)
 
 
 class TestConcatFusion:
@@ -551,8 +563,8 @@ class TestConcatFusion:
         config = self._config(vocab)
         params = init_params(config, 0)
         params["cat_b"].data[...] = 0.0
-        out = self._state(Graph(), params, config, Tensor(np.zeros(8)),
-                          Tensor(np.zeros((8, 1, 2))))
+        out = self._state(Graph(), params, config, Tensor(np.zeros((1, 8))),
+                          Tensor(np.zeros((1, 8, 1, 2))))
         assert (out.data == 0.0).all()
 
     def test_output_length_matches_conv1d_state(self, vocab):
@@ -560,16 +572,16 @@ class TestConcatFusion:
         params = init_params(config, 1)
         rng = np.random.default_rng(1)
         out = self._state(Graph(), params, config,
-                          Tensor(rng.uniform(-1, 1, 8)),
-                          Tensor(rng.uniform(-1, 1, (8, 1, 2))))
-        assert out.shape == (config.state_len,)
+                          Tensor(rng.uniform(-1, 1, (1, 8))),
+                          Tensor(rng.uniform(-1, 1, (1, 8, 1, 2))))
+        assert out.shape == (1, config.state_len)
 
     def test_fc_gradient(self, vocab):
         config = self._config(vocab)
         params = init_params(config, 2)
         rng = np.random.default_rng(2)
-        x_l = Tensor(rng.uniform(-1, 1, 8))
-        features = Tensor(rng.uniform(-1, 1, (8, 1, 2)))
+        x_l = Tensor(rng.uniform(-1, 1, (1, 8)))
+        features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
 
         def loss_value():
             g = Graph()
@@ -599,9 +611,9 @@ class TestPolicyHeads:
         for name in ("trunk_w", "trunk_b", "policy_w", "policy_b",
                      "value_w", "value_b"):
             params[name].data[...] = 0.0
-        probs, value = policy_forward(Graph(), params,
-                                      Tensor(np.ones(small_config.state_len)))
-        np.testing.assert_allclose(probs.data, [1 / 3] * 3, atol=1e-15)
+        probs, value = policy_forward(
+            Graph(), params, Tensor(np.ones((1, small_config.state_len))))
+        np.testing.assert_allclose(probs.data, [[1 / 3] * 3], atol=1e-15)
         assert value.item() == 0.0
 
     def test_probs_sum_to_one(self, small_config):
@@ -610,13 +622,13 @@ class TestPolicyHeads:
         for _ in range(20):
             probs, _ = policy_forward(
                 Graph(), params,
-                Tensor(rng.uniform(-2, 2, small_config.state_len)))
+                Tensor(rng.uniform(-2, 2, (1, small_config.state_len))))
             assert abs(probs.data.sum() - 1.0) < 1e-9
 
     def test_value_head_gradient(self, small_config):
         params = init_params(small_config, 4)
         rng = np.random.default_rng(4)
-        state = Tensor(rng.uniform(-1, 1, small_config.state_len))
+        state = Tensor(rng.uniform(-1, 1, (1, small_config.state_len)))
 
         def value_of():
             g = Graph()
@@ -722,11 +734,11 @@ class TestModelStep:
         ins = corpus.train[0]
         state, obs = gridnav.reset(0, "easy", ins, render_hw=(27, 36))
         g = Graph()
-        x_l = encode_instruction(g, params, small_config, ins.tokens)
+        x_l = encode_instruction(g, params, small_config, [ins.tokens])
         att = initial_attention_state(small_config)
         c0 = att.C.data.copy()
         for t in range(4):
-            out = model_step(g, params, small_config, x_l, obs.image, att)
+            out = model_step(g, params, small_config, x_l, one(obs.image), att)
             att = out.next_attention_state
             np.testing.assert_array_equal(att.C.data, c0)
             state, _, _ = gridnav.advance(state, "turn_left")
@@ -737,12 +749,12 @@ class TestModelStep:
         ins = corpus.train[1]
         _, obs = gridnav.reset(1, "easy", ins, render_hw=(27, 36))
         g = Graph()
-        x_l = encode_instruction(g, params, small_config, ins.tokens)
-        out = model_step(g, params, small_config, x_l, obs.image,
+        x_l = encode_instruction(g, params, small_config, [ins.tokens])
+        out = model_step(g, params, small_config, x_l, one(obs.image),
                          initial_attention_state(small_config))
-        assert out.attended.shape == (1, 1, 2)
-        assert out.probs.shape == (3,)
-        assert out.value.shape == ()
+        assert out.attended.shape == (1, 1, 1, 2)
+        assert out.probs.shape == (1, 3)
+        assert out.value.shape == (1,)
 
     def test_concat_fusion_path(self, vocab, corpus):
         config = ModelConfig(vocab=vocab, d=8, l=8, embed_dim=4, hidden=8,
@@ -753,11 +765,11 @@ class TestModelStep:
         ins = corpus.train[2]
         _, obs = gridnav.reset(2, "easy", ins, render_hw=(27, 36))
         g = Graph()
-        x_l = encode_instruction(g, params, config, ins.tokens)
-        out = model_step(g, params, config, x_l, obs.image, None)
+        x_l = encode_instruction(g, params, config, [ins.tokens])
+        out = model_step(g, params, config, x_l, one(obs.image), None)
         assert out.attended is None
         assert out.next_attention_state is None
-        assert out.probs.shape == (config.action_count,)
+        assert out.probs.shape == (1, config.action_count)
 
     @pytest.mark.parametrize("application", nets.APPLICATIONS)
     def test_lstm_output_first_frame_sees_the_image(self, vocab, corpus,
@@ -775,17 +787,49 @@ class TestModelStep:
         probs = []
         for image in images:
             g = Graph()
-            x_l = encode_instruction(g, params, config, ins.tokens)
-            probs.append(model_step(g, params, config, x_l, image,
+            x_l = encode_instruction(g, params, config, [ins.tokens])
+            probs.append(model_step(g, params, config, x_l, one(image),
                                     initial_attention_state(config)).probs.data)
         assert not np.array_equal(probs[0], probs[1])
 
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    def test_bench_entry_shapes_are_a_batch_of_one(self, vocab, corpus, scale):
+        # bench/run.py's warm-up passes one flat token sequence and one
+        # (3, H, W) image: the same bytes as the explicit batch of one,
+        # forward and backward
+        config = (ModelConfig(vocab=vocab) if scale == "desk"
+                  else paper_config(vocab))
+        params = init_params(config, 0)
+        ins = corpus.train[0]
+        _, obs = gridnav.reset(3, "easy", ins,
+                               render_hw=(config.render_h, config.render_w))
+        runs = []
+        for tokens, image in ((ins.tokens, obs.image),
+                              ([ins.tokens], one(obs.image))):
+            g = Graph()
+            x_l = encode_instruction(g, params, config, tokens)
+            out = model_step(g, params, config, x_l, image,
+                             initial_attention_state(config))
+            params.zero_grads()
+            g.backward(out.value)
+            runs.append([out.probs.data, out.value.data]
+                        + [t.grad for t in params.tensors()])
+        flat, batch = runs
+        assert flat[0].shape == (1, config.action_count)
+        assert flat[1].shape == (1,)
+        for got, want in zip(flat, batch):
+            # the value does not reach the policy head: no gradient in both
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
 
 class TestTapeBudget:
-    """Nodes one forward records at ModelConfig defaults. Each affine layer
-    is a single matvec node with its bias inside and the attention LSTM is
-    one lstm_cell node, so a new node here is a per-frame interpreter cost
-    in every desk-scale run."""
+    """Nodes one forward of a batch of one records at ModelConfig defaults.
+    Each affine layer is a single matvec node with its bias inside and the
+    attention LSTM is one lstm_cell node, so a new node here is a per-frame
+    interpreter cost in every desk-scale run."""
 
     def test_model_step_nodes(self, vocab, corpus):
         config = ModelConfig(vocab=vocab)
@@ -793,8 +837,8 @@ class TestTapeBudget:
         _, obs = gridnav.reset(3, "easy", corpus.train[3],
                                render_hw=(config.render_h, config.render_w))
         g = Graph()
-        model_step(g, params, config, Tensor(np.zeros(config.l)), obs.image,
-                   initial_attention_state(config))
+        model_step(g, params, config, Tensor(np.zeros((1, config.l))),
+                   one(obs.image), initial_attention_state(config))
         assert len(g.nodes) == 22
 
     def test_attention_step_nodes(self, vocab):
@@ -802,7 +846,7 @@ class TestTapeBudget:
         params = init_params(config, 18)
         g = Graph()
         attention_step(g, params, config, initial_attention_state(config),
-                       Tensor(np.zeros(config.lstm_input_len)))
+                       Tensor(np.zeros((1, config.lstm_input_len))))
         assert [node.op for node in g.nodes] == \
             ["concat", "lstm_cell", "row", "row"]
 
@@ -811,5 +855,5 @@ class TestTapeBudget:
         params = init_params(config, 17)
         tokens = ("go", "to", "the", "tall", "green", "pillar")
         g = Graph()
-        encode_instruction(g, params, config, tokens)
+        encode_instruction(g, params, config, [tokens])
         assert len(g.nodes) == 90
