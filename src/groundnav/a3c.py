@@ -317,8 +317,6 @@ def _reset_attention(g: Graph, mconf: ModelConfig, att: AttentionState,
     """``att`` with its ``rows`` (row indices) set to the initial state."""
     batch = att.C.shape[0]
     init = initial_attention_state(mconf, batch)
-    if len(rows) == batch:
-        return init
     fresh = _row_mask(batch, rows)
 
     def reset(t: Tensor, start: Tensor) -> Tensor:
@@ -340,8 +338,6 @@ def start_episodes(g: Graph, params: Params, mconf: ModelConfig, x_l: Tensor,
                                [ins.tokens for ins in rows.values()])
     att = _reset_attention(g, mconf, att, rows)
     batch = x_l.shape[0]
-    if len(rows) == batch:
-        return new_x, att
     fresh = _row_mask(batch, rows)
     slot = {b: i for i, b in enumerate(rows)}
     spread = g.row(new_x, [slot.get(b, 0) for b in range(batch)])

@@ -1,12 +1,14 @@
-"""Print the sha256 of every trained parameter byte after four seeded runs.
+"""Print the sha256 of every trained parameter byte after eight seeded runs.
 
     PYTHONPATH=src python tools/parity.py
 
-Each run is ``a3c.train`` with seed 3 on the default corpus (seed 7), easy
-difficulty and one worker; the digest covers every parameter tensor in
-declaration order. A change meant to keep training bit for bit prints the
-same four lines before and after. The digests depend on the BLAS build, so
-compare them on one machine rather than pinning them.
+Each run is ``a3c.train`` with seed 3 on the default corpus (seed 7); the
+digest covers every parameter tensor in declaration order. The first four
+runs play one worker in easy mode; the last four step 2 or 3 workers in
+lockstep for 400 frames, in easy and in hard mode. A change meant to keep
+training bit for bit prints the same eight lines before and after. The
+digests depend on the BLAS build, so compare them on one machine rather
+than pinning them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ SEED = 3
 
 
 def runs(vocab):
-    """(label, model config, trainer config) of each run."""
+    """(label, model config, trainer config, environment) of each run."""
     desk = a3c.TrainerConfig(max_frames=200, learning_rate=1e-3)
-    return (
+    easy = a3c.EnvSettings()
+    single = (
         ("desk defaults, 200 frames, lr 1e-3",
          nets.ModelConfig(vocab=vocab), desk),
         ("forget_gate_sees_input=False",
@@ -33,6 +36,13 @@ def runs(vocab):
          nets.paper_config(vocab),
          a3c.TrainerConfig(max_frames=60, learning_rate=1e-5)),
     )
+    lockstep = tuple(
+        (f"{workers} workers lockstep, {difficulty}, 400 frames",
+         nets.ModelConfig(vocab=vocab),
+         a3c.TrainerConfig(max_frames=400, workers=workers, mode="async"),
+         a3c.EnvSettings(difficulty=difficulty))
+        for workers in (2, 3) for difficulty in ("easy", "hard"))
+    return tuple(run + (easy,) for run in single) + lockstep
 
 
 def digest(params: nets.Params) -> str:
@@ -43,10 +53,9 @@ def digest(params: nets.Params) -> str:
 
 
 def main() -> None:
-    env = a3c.EnvSettings()
-    corpus = gridnav.build_corpus(env.corpus_seed)
+    corpus = gridnav.build_corpus(a3c.EnvSettings().corpus_seed)
     vocab = nets.build_vocab(corpus.train + corpus.test)
-    for label, mconf, tconf in runs(vocab):
+    for label, mconf, tconf, env in runs(vocab):
         result = a3c.train(tconf, mconf, env, SEED)
         print(f"{digest(result.params)}  {label}")
 
