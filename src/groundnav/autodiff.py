@@ -256,25 +256,26 @@ class Graph:
     # -- recurrent cell --------------------------------------------------------
 
     def lstm_cell(self, hx: Tensor, c_prev: Tensor, wf: Tensor, bf: Tensor,
-                  wi: Tensor, bi: Tensor, wc: Tensor, bc: Tensor,
-                  wo: Tensor, bo: Tensor) -> Tensor:
+                  w: Tensor, b: Tensor) -> Tensor:
         """One LSTM step of a batch as one tape node. Its output is (B, 2, d):
         row 0 of each is the new h and row 1 the new cell state c.
 
         hx (B, n) is the gate input, the previous h first; c_prev is (B, d).
-        The input, candidate and output gates read all of hx through
-        (d, n) weights. The forget gate reads ``hx[:nf]`` through its
-        (d, nf) weight, so nf = d wires it to the previous h alone and
-        nf = n to the whole input::
+        The input, candidate and output gates read all of hx through one
+        stacked (3d, n) weight w and (3d,) bias b, their rows in i, c, o
+        order, so one product z gives the three pre-activations in its
+        column blocks. The forget gate reads ``hx[:nf]`` through its (d, nf)
+        weight, so nf = d wires it to the previous h alone and nf = n to the
+        whole input::
 
-            f = sigmoid(wf @ hx[:nf] + bf)    i = sigmoid(wi @ hx + bi)
-            cbar = tanh(wc @ hx + bc)          o = sigmoid(wo @ hx + bo)
+            z = w @ hx + b                     f = sigmoid(wf @ hx[:nf] + bf)
+            i = sigmoid(z[:d])   cbar = tanh(z[d:2d])   o = sigmoid(z[2d:])
             c = f * c_prev + i * cbar          h = o * tanh(c)
 
         Every value and every product of the backward is formed as the
-        matvec, sigmoid, tanh, mul and add ops would form it, and the hx
-        gradient is summed in their reverse-sweep order, so the node is
-        bit-identical to that 14-node composition.
+        matvec, reshape (B, 3, d), row, sigmoid, tanh, mul and add ops would
+        form it, and the hx gradient is summed in their reverse-sweep order,
+        so the node is bit-identical to that 16-node composition.
         """
         if (hx.data.ndim != 2 or c_prev.data.ndim != 2
                 or len(hx.data) != len(c_prev.data) or wf.data.ndim != 2):
@@ -282,27 +283,22 @@ class Graph:
                              "state rows and a 2-D forget weight")
         d, n, nf = c_prev.data.shape[1], hx.data.shape[1], wf.data.shape[1]
         if (wf.data.shape[0] != d or not 0 < nf <= n
-                or (wi.data.shape, wc.data.shape, wo.data.shape) != ((d, n),) * 3
-                or (bf.data.shape, bi.data.shape, bc.data.shape,
-                    bo.data.shape) != ((d,),) * 4):
+                or w.data.shape != (3 * d, n)
+                or (bf.data.shape, b.data.shape) != ((d,), (3 * d,))):
             raise ValueError(
                 f"lstm_cell: input {hx.data.shape}, cell {c_prev.data.shape}, "
-                f"forget weight {wf.data.shape}, gate weight {wi.data.shape}")
+                f"forget weight {wf.data.shape}, gate weight {w.data.shape}")
         v = hx.data
         vf = v[:, :nf]
         zf = vf @ wf.data.T
         zf += bf.data
-        zi = v @ wi.data.T
-        zi += bi.data
-        zc = v @ wc.data.T
-        zc += bc.data
-        zo = v @ wo.data.T
-        zo += bo.data
+        z = v @ w.data.T
+        z += b.data
         with np.errstate(over="ignore"):  # as in sigmoid
             f = 1.0 / (1.0 + np.exp(-zf))
-            i = 1.0 / (1.0 + np.exp(-zi))
-            o = 1.0 / (1.0 + np.exp(-zo))
-        cbar = np.tanh(zc)
+            i = 1.0 / (1.0 + np.exp(-z[:, :d]))
+            o = 1.0 / (1.0 + np.exp(-z[:, 2 * d:]))
+        cbar = np.tanh(z[:, d:2 * d])
         out = np.empty((len(v), 2, d))
         h, c = out[:, 0], out[:, 1]
         np.multiply(f, c_prev.data, out=c)
@@ -313,18 +309,17 @@ class Graph:
         def bwd(g):
             gh = g[:, 0]
             gc = g[:, 1] + gh * o * (1.0 - tc * tc)
-            dzo = gh * tc * o * (1.0 - o)
-            dzc = gc * i * (1.0 - cbar * cbar)
-            dzi = gc * cbar * i * (1.0 - i)
+            dz = np.empty_like(z)
+            dz[:, :d] = gc * cbar * i * (1.0 - i)
+            dz[:, d:2 * d] = gc * i * (1.0 - cbar * cbar)
+            dz[:, 2 * d:] = gh * tc * o * (1.0 - o)
             dzf = gc * c_prev.data * f * (1.0 - f)
-            ghx = dzo @ wo.data + dzc @ wc.data + dzi @ wi.data
+            ghx = dz @ w.data
             ghx[:, :nf] += dzf @ wf.data
             return (ghx, gc * f, dzf.T @ vf, dzf.sum(axis=0),
-                    dzi.T @ v, dzi.sum(axis=0), dzc.T @ v, dzc.sum(axis=0),
-                    dzo.T @ v, dzo.sum(axis=0))
+                    dz.T @ v, dz.sum(axis=0))
 
-        return self._record("lstm_cell", (hx, c_prev, wf, bf, wi, bi, wc, bc,
-                                          wo, bo), out, bwd)
+        return self._record("lstm_cell", (hx, c_prev, wf, bf, w, b), out, bwd)
 
     # -- convolutions ----------------------------------------------------------
 

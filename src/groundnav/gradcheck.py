@@ -10,14 +10,14 @@ Its loss is the scalar ``sum(w * op(operands))``, whose weights
 output, so every output entry reaches the loss with its own weight. Every
 operand entry is checked.
 
-End to end, the instruction encoder and ``nets.model_step`` (the forward
-pass training uses) run a batch of two environments over three rendered
-frames with the attention state carried between them; at the last frame the
-second environment starts a new episode, so its instruction encoding and
-attention state rows are reset as a lockstep rollout resets them. A handful
-of randomly chosen entries per parameter tensor are checked; every tensor,
-the GRU and the attention LSTM included, gets a nonzero gradient. The CLI
-surfaces this as ``gradcheck``.
+End to end, ``a3c._rollout``, the rollout that trains, plays a lockstep
+batch of two environments whose actions follow fixed scripts, for six
+steps. The second environment's episode ends at step 5, so its instruction
+encoding and attention state rows are reset, and the frame budget leaves it
+idle at step 6. The loss sums log p(a_t) + V_t + H_t over the returned
+steps. A handful of randomly chosen entries per parameter tensor are
+checked; every tensor, the GRU and the attention LSTM's stacked gate weight
+included, gets a nonzero gradient. The CLI surfaces this as ``gradcheck``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,21 @@ from typing import Callable
 import numpy as np
 
 from . import gridnav, nets
-from .a3c import policy_entropy, start_episodes
+from .a3c import Collector, EnvSettings, TrainerConfig, _rollout, _Worker
 from .autodiff import OP_KINDS, Graph, Tensor
 
 STEP = 1e-5
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
 END_TO_END_SAMPLES = 3
-# Three frames: under lstm_cellstate the output gate first reaches the loss
-# through the attention applied at frame 3 (h_1 -> C_2 -> frame 3).
-END_TO_END_ACTIONS = ("turn_left", "turn_left", "move_forward")
+# Row 0 walks about without touching an object. Row 1 walks from the
+# easy-mode start (11, 8) into the object at (5, 8), so its episode ends
+# at step 5 and restarts; the 11-frame budget leaves it idle at step 6.
+END_TO_END_SCRIPTS = (
+    ("turn_left", "move_forward", "turn_right", "move_forward", "turn_left",
+     "turn_right"),
+    ("move_forward",) * 5,
+)
 
 
 def relative_error(a: float, f: float) -> float:
@@ -148,10 +153,10 @@ def _draw_lstm_cell(rng, batch):
     nf = d if rng.random() < 0.5 else d + n
     arrays = [rng.uniform(-1, 1, size=(batch, d + n)),
               rng.uniform(-1, 1, size=(batch, d))]
-    for cols in (nf, d + n, d + n, d + n):
-        arrays += [rng.uniform(-1, 1, size=(d, cols)),
-                   rng.uniform(-1, 1, size=(d,))]
-    return arrays, (True, True) + (False,) * 8, \
+    for rows, cols in ((d, nf), (3 * d, d + n)):
+        arrays += [rng.uniform(-1, 1, size=(rows, cols)),
+                   rng.uniform(-1, 1, size=(rows,))]
+    return arrays, (True, True) + (False,) * 4, \
         lambda g, t, row=None: g.lstm_cell(*t)
 
 
@@ -289,69 +294,59 @@ def _op_tag(op: str) -> int:
 # End-to-end model pass
 # --------------------------------------------------------------------------
 
+class _Scripted(_Worker):
+    """A lockstep worker that plays ``script``, one action a frame, whatever
+    the policy; a frame past its end raises StopIteration."""
+
+    def __init__(self, script, *args):
+        self.script = iter(script)
+        super().__init__(*args)
+
+    def sample(self, p: np.ndarray) -> int:
+        return gridnav.ACTIONS.index(next(self.script))
+
+
 def _tiny_model(seed: int):
-    """A small model and a lockstep walk of two environments: the first
-    rows' instructions, the (2, 3, H, W) frames of a fixed walk, and the
-    episodes that start before a frame (frame -> {row: instruction}). Row 1
-    starts a new episode at the last frame."""
+    """A small model, its parameters and the training split."""
     corpus = gridnav.build_corpus(0)
     vocab = nets.build_vocab(corpus.train + corpus.test)
     mconf = nets.ModelConfig(
         vocab=vocab, d=8, l=8, embed_dim=4, hidden=8,
         render_h=27, render_w=36,
         conv_specs=((4, 5, 3), (6, 4, 2), (8, 3, 1)))
-    params = nets.init_params(mconf, seed)
-    rows = []
-    for row, instruction in enumerate(corpus.train[:2]):
-        state, obs = gridnav.reset(seed + row, "easy", instruction,
-                                   render_hw=(27, 36))
-        images = [obs.image.data]
-        for action in END_TO_END_ACTIONS[:-1]:
-            state, _, _ = gridnav.advance(state, action)
-            images.append(gridnav.render(state).image.data)
-        rows.append(images)
-    restart = corpus.train[2]
-    rows[1][-1] = gridnav.reset(seed + 2, "easy", restart,
-                                render_hw=(27, 36))[1].image.data
-    frames = [np.stack(images) for images in zip(*rows)]
-    walk = (corpus.train[:2], frames, {len(frames) - 1: {1: restart}})
-    return mconf, params, walk
+    return mconf, nets.init_params(mconf, seed), corpus.train
 
 
-def _rollout_loss(mconf, params, walk) -> tuple[Graph, Tensor]:
-    """The graph and the loss sum over rows and frames of
-    log p(a_t) + V_t + H_t through ``model_step``, the forward pass that
-    trains, with the attention state carried across frames and reset, with
-    the instruction encoding, where a row starts a new episode.
+def _training_loss(mconf, params, split, seed: int) -> tuple[Graph, Tensor]:
+    """The graph and the loss sum over the returned steps of
+    log p(a_t) + V_t + H_t of one ``a3c._rollout``, the rollout that trains.
 
     Not the A3C loss: its advantage is a constant taken from the values, so
     central differences would see a different function than backward does.
     """
-    instructions, frames, restarts = walk
+    workers = [_Scripted(script, np.random.default_rng([seed, row]),
+                         EnvSettings("easy"), mconf, split)
+               for row, script in enumerate(END_TO_END_SCRIPTS)]
+    tconf = TrainerConfig(n_steps=6, max_frames=11)
     g = Graph()
-    x_l = nets.encode_instruction(g, params, mconf,
-                                  [ins.tokens for ins in instructions])
-    att = nets.initial_attention_state(mconf, len(instructions))
+    steps, _, _ = _rollout(g, params, tconf, mconf, workers,
+                           nets.initial_attention_state(mconf, len(workers)),
+                           Collector(tconf))
     loss = None
-    for t, (images, action) in enumerate(zip(frames, END_TO_END_ACTIONS)):
-        if t in restarts:
-            x_l, att = start_episodes(g, params, mconf, x_l, att, restarts[t])
-        out = nets.model_step(g, params, mconf, x_l, Tensor(images), att)
-        log_p = g.log(g.pick(out.probs, gridnav.ACTIONS.index(action)))
-        term = g.add(g.sum_all(g.add(log_p, out.value)),
-                     policy_entropy(g, out.probs))
+    for step in steps:
+        term = g.add(g.sum_all(g.add(step.log_prob, step.value)),
+                     step.entropy)
         loss = term if loss is None else g.add(loss, term)
-        att = out.next_attention_state
     return g, loss
 
 
 def check_end_to_end(seed: int = 0) -> float:
     """Worst relative error over ``END_TO_END_SAMPLES`` random entries of
     every parameter tensor."""
-    mconf, params, walk = _tiny_model(seed)
+    mconf, params, split = _tiny_model(seed)
     tensors = params.tensors()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE2E]))
     entries = [rng.choice(t.size, min(END_TO_END_SAMPLES, t.size),
                           replace=False) for t in tensors]
-    return _worst_error(tensors,
-                        lambda: _rollout_loss(mconf, params, walk), entries)
+    return _worst_error(
+        tensors, lambda: _training_loss(mconf, params, split, seed), entries)

@@ -5,8 +5,10 @@ Attention flow per step t (recurrent sources): the attention applied to the
 current frame is the one produced at step t-1; the attended-and-flattened
 image concatenated with the instruction encoding then drives the LSTM that
 produces the attention for t+1. That LSTM runs on every frame, so its gate
-arithmetic is one ``lstm_cell`` tape node; the GRU instruction encoder runs
-once per episode and stays composed of elementwise ops. The fused state has
+arithmetic is one ``lstm_cell`` tape node, and its input, candidate and
+output gates, which all read the whole gate input, share one stacked weight
+``lstm_w`` and bias ``lstm_b``; the GRU instruction encoder runs once per
+episode and stays composed of elementwise ops. The fused state has
 length feat_h*feat_w in every variant so the policy heads stay comparable.
 
 Batches: every per-frame input carries one leading batch axis B (see
@@ -36,7 +38,7 @@ FUSIONS = ("attention", "concat")
 UNK_TOKEN = "<unk>"
 
 CHECKPOINT_MAGIC = b"GNAVPK01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def build_vocab(instructions) -> tuple[str, ...]:
@@ -186,9 +188,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             f_in = hx if config.forget_gate_sees_input else config.d
             shapes["lstm_wf"] = (config.d, f_in)
             shapes["lstm_bf"] = (config.d,)
-            for gate in ("i", "c", "o"):
-                shapes[f"lstm_w{gate}"] = (config.d, hx)
-                shapes[f"lstm_b{gate}"] = (config.d,)
+            # the input, candidate and output gates, stacked in that order
+            shapes["lstm_w"] = (3 * config.d, hx)
+            shapes["lstm_b"] = (3 * config.d,)
         if config.application == "hadamard_fc":
             shapes["had_w"] = (config.state_len, flat_feat)
             shapes["had_b"] = (config.state_len,)
@@ -236,11 +238,12 @@ def _init_bound(name: str, shape: tuple[int, ...]) -> float:
 
 
 def init_params(config: ModelConfig, seed: int) -> Params:
-    """Deterministic uniform weights, zero biases, forget-gate bias +1."""
+    """Deterministic uniform weights, zero biases (the 1-D tensors),
+    forget-gate bias +1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A27]))
     tensors: dict[str, Tensor] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith("_b") or name.startswith("gru_b") or name.startswith("lstm_b"):
+        if len(shape) == 1:
             data = np.zeros(shape)
             if name == "lstm_bf":
                 data += 1.0
@@ -317,14 +320,15 @@ def attention_step(g: Graph, params: Params, config: ModelConfig,
     """One LSTM update; the new cell state is the next attention vector.
 
     Four tape nodes: the gate input [h_{t-1}, x_t], one ``lstm_cell`` and a
-    ``row`` each for h_t and C_t. The forget gate reads the first
-    ``lstm_wf.shape[1]`` entries of the gate input, which is h_{t-1} alone
-    or all of it as ``config.forget_gate_sees_input`` sized that weight.
+    ``row`` each for h_t and C_t. The input, candidate and output gates read
+    all of the gate input through the stacked ``lstm_w`` (3d, n), rows in
+    i, c, o order. The forget gate reads the first ``lstm_wf.shape[1]``
+    entries of it through its own weight, which is h_{t-1} alone or all of
+    it as ``config.forget_gate_sees_input`` sized that weight.
     """
     hx = g.concat([prev.h, x_t])
     hc = g.lstm_cell(hx, prev.C, params["lstm_wf"], params["lstm_bf"],
-                     params["lstm_wi"], params["lstm_bi"], params["lstm_wc"],
-                     params["lstm_bc"], params["lstm_wo"], params["lstm_bo"])
+                     params["lstm_w"], params["lstm_b"])
     return AttentionState(h=g.row(hc, 0), C=g.row(hc, 1))
 
 

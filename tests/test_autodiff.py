@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from groundnav import autodiff, gradcheck, nets
+from groundnav import a3c, autodiff, gradcheck, nets
 from groundnav.autodiff import OP_KINDS, Graph, Tensor
 
 
@@ -67,17 +67,19 @@ def slab_fold(gcols, in_shape, k, stride):
     return gx
 
 
-def lstm_composed(g, h, x, c_prev, wf, bf, wi, bi, wc, bc, wo, bo):
-    """The LSTM step as the 14 nodes ``lstm_cell`` fuses (concat, 4 matvec,
-    3 sigmoid, 2 tanh, 3 mul, add): the reference it must match bit for
-    bit. The forget gate reads h alone when wf is as wide as h."""
+def lstm_composed(g, h, x, c_prev, wf, bf, w, b):
+    """The LSTM step as the 16 nodes ``lstm_cell`` fuses (concat, 2 matvec,
+    a reshape of the stacked gates to (B, 3, d) and 3 row, 3 sigmoid,
+    2 tanh, 3 mul, add): the reference it must match bit for bit. The
+    forget gate reads h alone when wf is as wide as h."""
     hx = g.concat([h, x])
     f_in = h if wf.shape[1] == h.shape[1] else hx
     f = g.sigmoid(g.matvec(wf, f_in, bf))
-    i = g.sigmoid(g.matvec(wi, hx, bi))
-    cbar = g.tanh(g.matvec(wc, hx, bc))
+    z = g.reshape(g.matvec(w, hx, b), (hx.shape[0], 3, bf.shape[0]))
+    i = g.sigmoid(g.row(z, 0))
+    cbar = g.tanh(g.row(z, 1))
     c = g.add(g.mul(f, c_prev), g.mul(i, cbar))
-    o = g.sigmoid(g.matvec(wo, hx, bo))
+    o = g.sigmoid(g.row(z, 2))
     return g.mul(o, g.tanh(c)), c
 
 
@@ -167,8 +169,8 @@ class TestLstmCell:
         d, n = 5, 7
         nf = d + n if forget_sees_input else d
         # h, x and c_prev are a batch of one
-        shapes = [(1, d), (1, n), (1, d), (d, nf), (d,)] \
-            + [(d, d + n), (d,)] * 3
+        shapes = [(1, d), (1, n), (1, d), (d, nf), (d,), (3 * d, d + n),
+                  (3 * d,)]
         arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
         u_h = Tensor(rng.standard_normal((1, d)))
         u_c = Tensor(rng.standard_normal((1, d)))
@@ -190,7 +192,7 @@ class TestLstmCell:
                 np.zeros_like(t.data) if t.grad is None else t.grad
                 for t in leaves])
         composed, fused = results
-        assert len(fused) == 2 + 11  # h, c; h_prev and x make up hx's gradient
+        assert len(fused) == 2 + 7  # h, c; h_prev and x make up hx's gradient
         # + 0.0 makes -0.0 equal 0.0: where the composition records no
         # gradient (wo when only c is read), the fused backward multiplies
         # a zero gradient through
@@ -200,12 +202,16 @@ class TestLstmCell:
     def test_shapes_rejected(self):
         d, n = 2, 5
         ok = [np.zeros((1, n)), np.zeros((1, d)), np.zeros((d, d)),
-              np.zeros(d)] + [np.zeros((d, n)), np.zeros(d)] * 3
+              np.zeros(d), np.zeros((3 * d, n)), np.zeros(3 * d)]
         Graph().lstm_cell(*map(Tensor, ok))
         for index, bad in [(0, np.zeros((1, n + 1))), (1, np.zeros((1, d + 1))),
                            (1, np.zeros((2, d))),
                            (2, np.zeros((d, n + 1))), (3, np.zeros(d + 1)),
-                           (8, np.zeros((d + 1, n))), (9, np.zeros((d, 1)))]:
+                           (4, np.zeros((3 * d + 1, n))),
+                           (4, np.zeros((3 * d, n + 1))),
+                           (5, np.zeros((3 * d, 1))),
+                           # one gate's weight or bias in place of the stack
+                           (4, np.zeros((d, n))), (5, np.zeros(d))]:
             operands = list(ok)
             operands[index] = bad
             with pytest.raises(ValueError, match="lstm_cell"):
@@ -521,7 +527,7 @@ RANK_CHECKED = {
                                        _ones(3)),
     "lstm_cell": lambda g, lead: g.lstm_cell(
         _ones(*lead, 5), _ones(*lead, 2), _ones(2, 2), _ones(2),
-        *[_ones(*shape) for shape in [(2, 5), (2,)] * 3]),
+        _ones(6, 5), _ones(6)),
     "conv2d": lambda g, lead: g.conv2d(_ones(*lead, 1, 3, 3),
                                        _ones(1, 1, 2, 2)),
     "conv1d_channels": lambda g, lead: g.conv1d_channels(
@@ -616,13 +622,23 @@ class TestGradCheckProperty:
         with pytest.raises(ValueError, match="cases"):
             gradcheck.check_op("mul", cases=cases)
 
-    def test_end_to_end_reaches_every_parameter(self):
+    def test_end_to_end_reaches_every_parameter(self, monkeypatch):
         # the GRU, the embedding and every LSTM gate must reach the loss, or
-        # the end-to-end check compares zero with zero
-        mconf, params, walk = gradcheck._tiny_model(0)
-        g, loss = gradcheck._rollout_loss(mconf, params, walk)
+        # the end-to-end check compares zero with zero; and the scripted
+        # rollout restarts row 1, once, inside the rollout
+        restarts = []
+        start = a3c.start_episodes
+
+        def counted(g, params, mconf, x_l, att, rows):
+            restarts.append(list(rows))
+            return start(g, params, mconf, x_l, att, rows)
+
+        monkeypatch.setattr(a3c, "start_episodes", counted)
+        mconf, params, split = gradcheck._tiny_model(0)
+        g, loss = gradcheck._training_loss(mconf, params, split, 0)
         g.backward(loss)
-        assert len(params.names()) == 27
+        assert restarts == [[1]]
+        assert len(params.names()) == 23
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []
 
@@ -631,11 +647,11 @@ class TestGradCheckProperty:
                              ids=["forget_reads_h", "lstm_output"])
     def test_end_to_end_variant(self, variant):
         # the suite checks the default wiring end to end; these read the
-        # forget gate from h alone, or apply h in place of the cell state.
-        # Under lstm_output frame 1 applies h_0 = 0, so its fused state is
-        # 0 and every trunk relu sits on its kink at the zero-initialised
-        # trunk_b: that bias is moved off zero.
-        mconf, _, walk = gradcheck._tiny_model(0)
+        # forget gate from h alone, or apply h in place of the cell state
+        # (frame 1 applies h_0 = ones under lstm_output). trunk_b is moved
+        # off its zero initial value, so the trunk is checked at a nonzero
+        # bias too.
+        mconf, _, split = gradcheck._tiny_model(0)
         mconf = dataclasses.replace(mconf, **variant)
         params = nets.init_params(mconf, 0)
         rng = np.random.default_rng(0)
@@ -644,8 +660,8 @@ class TestGradCheckProperty:
         entries = [rng.choice(t.size, min(gradcheck.END_TO_END_SAMPLES, t.size),
                               replace=False) for t in tensors]
         err = gradcheck._worst_error(
-            tensors, lambda: gradcheck._rollout_loss(mconf, params, walk),
-            entries)
+            tensors,
+            lambda: gradcheck._training_loss(mconf, params, split, 0), entries)
         assert err < gradcheck.END_TO_END_TOL
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []

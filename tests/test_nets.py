@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -51,9 +52,12 @@ def gru_scalar_oracle(wz, bz, wr, br, wh, bh, xs):
 
 
 def lstm_scalar_oracle(weights, h, c, x, forget_sees_input=True):
-    """Pure-Python gate arithmetic for one cell update."""
-    wf, bf, wi, bi, wc, bc, wo, bo = weights
+    """Pure-Python gate arithmetic for one cell update; ``w`` and ``b``
+    stack the input, candidate and output gates' rows in that order."""
+    wf, bf, w, b = weights
     d = len(bf)
+    wi, wc, wo = w[:d], w[d:2 * d], w[2 * d:]
+    bi, bc, bo = b[:d], b[d:2 * d], b[2 * d:]
     hx = list(h) + list(x)
     f_in = hx if forget_sees_input else list(h)
 
@@ -338,8 +342,8 @@ class TestAttentionStep:
 
     def test_pure_carry(self, small_config):
         params = self._params(small_config)
-        params["lstm_bf"].data[...] = 500.0   # sigmoid saturates to exactly 1
-        params["lstm_bi"].data[...] = -500.0  # and to exactly 0
+        params["lstm_bf"].data[...] = 500.0  # sigmoid saturates to exactly 1
+        params["lstm_b"].data[:8] = -500.0   # and the input gate to exactly 0
         rng = np.random.default_rng(1)
         prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
                               C=Tensor(rng.uniform(-1, 1, (1, 8))))
@@ -350,7 +354,7 @@ class TestAttentionStep:
     def test_pure_write(self, small_config):
         params = self._params(small_config)
         params["lstm_bf"].data[...] = -500.0
-        params["lstm_bi"].data[...] = 500.0
+        params["lstm_b"].data[:8] = 500.0
         rng = np.random.default_rng(2)
         prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
                               C=Tensor(rng.uniform(-1, 1, (1, 8))))
@@ -358,7 +362,8 @@ class TestAttentionStep:
         g = Graph()
         out = attention_step(g, params, small_config, prev, x)
         hx = np.concatenate([prev.h.data[0], x.data[0]])
-        cbar = np.tanh(params["lstm_wc"].data @ hx + params["lstm_bc"].data)
+        cbar = np.tanh(params["lstm_w"].data[8:16] @ hx
+                       + params["lstm_b"].data[8:16])
         np.testing.assert_allclose(out.C.data[0], cbar, atol=1e-12)
 
     def test_matches_scalar_oracle(self, vocab):
@@ -372,8 +377,7 @@ class TestAttentionStep:
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
         out = attention_step(Graph(), params, config, prev, x)
         weights = tuple(params[n].data.tolist() for n in (
-            "lstm_wf", "lstm_bf", "lstm_wi", "lstm_bi",
-            "lstm_wc", "lstm_bc", "lstm_wo", "lstm_bo"))
+            "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
             weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
             x.data[0].tolist())
@@ -393,8 +397,7 @@ class TestAttentionStep:
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
         out = attention_step(Graph(), params, config, prev, x)
         weights = tuple(params[n].data.tolist() for n in (
-            "lstm_wf", "lstm_bf", "lstm_wi", "lstm_bi",
-            "lstm_wc", "lstm_bc", "lstm_wo", "lstm_bo"))
+            "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
             weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
             x.data[0].tolist(), forget_sees_input=False)
@@ -510,8 +513,7 @@ class TestComputeAttention:
         x_l = rng.uniform(-1, 1, 2)
         feats = [rng.uniform(-1, 1, (2, 1, 2)) for _ in range(2)]
         weights = tuple(params[n].data.tolist() for n in (
-            "lstm_wf", "lstm_bf", "lstm_wi", "lstm_bi",
-            "lstm_wc", "lstm_bc", "lstm_wo", "lstm_bo"))
+            "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
 
         h, c = [0.0, 0.0], [1.0, 1.0]
         prev = initial_attention_state(config)
@@ -696,6 +698,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_params(path, other)
 
+    def test_old_version_rejected(self, small_config, tmp_path):
+        # version 1 stored the input, candidate and output gates of the
+        # attention LSTM as three tensors each, not stacked
+        path = tmp_path / "model.bin"
+        save_params(path, init_params(small_config, 0), small_config)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint version 1"):
+            load_params(path, small_config)
+
     def test_not_a_checkpoint_rejected(self, small_config, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint at all")
@@ -730,7 +744,7 @@ class TestModelStep:
     def test_recurrent_carry_with_saturated_gates(self, small_config, corpus):
         params = init_params(small_config, 13)
         params["lstm_bf"].data[...] = 500.0
-        params["lstm_bi"].data[...] = -500.0
+        params["lstm_b"].data[:small_config.d] = -500.0
         ins = corpus.train[0]
         state, obs = gridnav.reset(0, "easy", ins, render_hw=(27, 36))
         g = Graph()
