@@ -10,14 +10,16 @@ accumulate into ``.grad`` across repeated ``backward`` calls until the caller
 resets them (multi-step rollouts rely on this). Intermediate gradients are
 scratch storage local to one backward sweep.
 
-Lifetime: a tensor holds no reference to its graph; only the graph refers to
-its nodes and their outputs. The tape is therefore acyclic, and reference
-counting frees it, with every array its backward closures keep, as soon as
-the last reference to the ``Graph`` is dropped, without waiting for the
-cyclic garbage collector. Ownership is checked through the tape index
-instead: a graph owns an op output ``t`` when ``t.node`` is in range and
-``nodes[t.node].output is t``. Ops reject operands that another graph owns,
-and ``backward`` rejects a loss this graph does not own.
+Lifetime: a tape keeps each node's inputs and output, plus what its
+backward reads. conv2d keeps no im2col columns (its backward rebuilds them
+from its input), and ``backward`` frees each intermediate gradient once its
+node has passed it on. A tensor holds no reference to its graph, so the
+tape is acyclic: reference counting frees it, with every array its closures
+keep, as soon as the last reference to the ``Graph`` is dropped, without
+waiting for the cyclic garbage collector. Ownership is checked through the
+tape index instead: a graph owns an op output ``t`` when ``t.node`` is in
+range and ``nodes[t.node].output is t``. Ops reject operands that another
+graph owns, and ``backward`` rejects a loss this graph does not own.
 
 Batches: every per-frame operand carries one leading batch axis B, and a
 call is one node for all B rows; one environment is a batch of one.
@@ -336,8 +338,8 @@ class Graph:
         order and columns in (image, output row, output column) order, so
         the forward is the single product
         ``kernels.reshape(c_out, c_in*k*k) @ cols``. The output is a
-        transposed view of that (c_out, B, ho, wo) product. The
-        backward reuses ``cols`` for the kernel gradient and folds the
+        transposed view of that (c_out, B, ho, wo) product. The backward
+        rebuilds ``cols`` from ``x`` for the kernel gradient, and folds the
         column gradient back onto the images with one ``np.bincount`` over
         ``_fold_index``, the flat input position of every column entry.
         That index runs in the columns' row order, so bincount adds each
@@ -360,17 +362,15 @@ class Graph:
             raise ValueError(f"conv2d: kernel {k} larger than input {h}x{w}")
         ho = (h - k) // stride + 1
         wo = (w - k) // stride + 1
-        # one copy of the strided patch view gives the GEMM operand directly
-        cols = np.ascontiguousarray(
-            _conv_patches(x.data, k, stride)).reshape(c_in * k * k, -1)
         k2 = kernels.data.reshape(c_out, c_in * k * k)
-        out = (k2 @ cols).reshape(c_out, batch, ho, wo).transpose(1, 0, 2, 3)
+        out = (k2 @ _im2col(x.data, k, stride)).reshape(
+            c_out, batch, ho, wo).transpose(1, 0, 2, 3)
         in_shape = x.data.shape
         need_gx = x.requires_grad  # skipping the fold for constant images
 
         def bwd(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-            gk = (g2 @ cols.T).reshape(c_out, c_in, k, k)
+            gk = (g2 @ _im2col(x.data, k, stride).T).reshape(c_out, c_in, k, k)
             gx = None
             if need_gx:
                 gcols = k2.T @ g2
@@ -562,6 +562,7 @@ class Graph:
             if not node.output.requires_grad:
                 continue
             grads = node.backward_fn(g)
+            scratch[i] = None  # passed on below; a later sweep recomputes it
             for t, gt in zip(node.inputs, grads):
                 if gt is None or not t.requires_grad:
                     continue
@@ -614,6 +615,13 @@ def _each_row(index, shape: tuple[int, int], op: str) -> tuple:
     for i in idx.tolist():
         _check_index(i, size, op)
     return (np.arange(rows), idx)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """conv2d's column matrix (c*k*k, B*ho*wo): one copy of the patch
+    view, the operand of the forward GEMM and of the kernel gradient."""
+    return np.ascontiguousarray(_conv_patches(x, k, stride)).reshape(
+        x.shape[1] * k * k, -1)
 
 
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:
