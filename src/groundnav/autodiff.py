@@ -251,7 +251,8 @@ class Graph:
         out += b.data
 
         def bwd(g):
-            return (g.T @ v.data, g @ w.data, g.sum(axis=0))
+            # np.dot: matmul's (rows, 1) @ (1, n) is about 5x slower at B = 1
+            return (np.dot(g.T, v.data), g @ w.data, g.sum(axis=0))
 
         return self._record("matvec", (w, v, b), out, bwd)
 
@@ -318,8 +319,8 @@ class Graph:
             dzf = gc * c_prev.data * f * (1.0 - f)
             ghx = dz @ w.data
             ghx[:, :nf] += dzf @ wf.data
-            return (ghx, gc * f, dzf.T @ vf, dzf.sum(axis=0),
-                    dz.T @ v, dz.sum(axis=0))
+            return (ghx, gc * f, np.dot(dzf.T, vf), dzf.sum(axis=0),
+                    np.dot(dz.T, v), dz.sum(axis=0))
 
         return self._record("lstm_cell", (hx, c_prev, wf, bf, w, b), out, bwd)
 
