@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from groundnav.autodiff import Graph
@@ -20,3 +22,22 @@ def scale_backward(monkeypatch):
 
         monkeypatch.setattr(Graph, op, mutant)
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls fn and returns, in bytes, the peak of the
+    memory tracemalloc sees allocated above what was held when fn began."""
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure

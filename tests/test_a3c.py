@@ -334,6 +334,18 @@ class TestTrainLoop:
                 assert one.params[name].data.tobytes() == \
                     sync.params[name].data.tobytes(), (seed, name)
 
+    def test_paper_rollout_memory(self, tiny_model, traced_peak):
+        # one 20-frame rollout at paper scale: the tape keeps no im2col
+        # columns and the backward frees each gradient it has passed on
+        # (without either, the peak is about 311 MiB; with both, about 108)
+        corpus, _ = tiny_model
+        mconf = nets.paper_config(nets.build_vocab(corpus.train + corpus.test))
+        tconf = TrainerConfig(max_frames=20, learning_rate=1e-5)
+        env = EnvSettings(difficulty="easy", corpus_seed=7)
+        train(tconf, mconf, env, seed=3)  # warm-up: lazy imports and caches
+        peak = traced_peak(lambda: train(tconf, mconf, env, seed=3))
+        assert peak < 130 * 2**20
+
     @pytest.mark.parametrize("max_frames", [401, 410])
     def test_sync_trains_exact_frame_budget(self, tiny_model, max_frames):
         # a budget that is not a multiple of n_steps ends mid-rollout; the

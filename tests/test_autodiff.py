@@ -256,6 +256,24 @@ class TestConv2d:
                                               weights[0])
         np.testing.assert_array_equal(folded, reference)
 
+    # the backward rebuilds the forward's column matrix rather than keep it
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("k, stride, h, w", [(3, 1, 8, 8), (4, 2, 9, 11)],
+                             ids=["k3s1", "k4s2"])
+    def test_kernel_grad_is_one_gemm_bitwise(self, batch, k, stride, h, w):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.uniform(-1, 1, (batch, 3, h, w)), requires_grad=True)
+        kern = Tensor(rng.uniform(-1, 1, (4, 3, k, k)), requires_grad=True)
+        g = Graph()
+        out = g.conv2d(x, kern, stride=stride)
+        weights = rng.standard_normal(out.shape)
+        g.backward(g.sum_all(g.mul(out, Tensor(weights))))
+        cols = np.ascontiguousarray(
+            autodiff._conv_patches(x.data, k, stride)).reshape(3 * k * k, -1)
+        g2 = weights.transpose(1, 0, 2, 3).reshape(4, -1)
+        assert kern.grad.tobytes() == \
+            (g2 @ cols.T).reshape(kern.shape).tobytes()
+
     def test_paper_fold_matches_slab_loop_bitwise(self):
         # the paper's conv2: k4s2 over the 32x38x74 maps of conv1
         rng = np.random.default_rng(12)
@@ -391,6 +409,17 @@ class TestBackward:
         g.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * first)
 
+    def test_sweep_frees_gradients_passed_on(self, traced_peak):
+        # 50 nodes on a 1 MiB batch: the sweep holds the gradients it has
+        # still to pass on, not all 50 it forms
+        x = Tensor(np.ones((1, 128, 1024)), requires_grad=True)
+        g = Graph()
+        y = x
+        for _ in range(50):
+            y = g.scale(y, 1.01)
+        loss = g.sum_all(y)
+        assert traced_peak(lambda: g.backward(loss)) < 8 * 2**20
+
     def test_loss_must_be_scalar(self):
         g = Graph()
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -409,8 +438,8 @@ class TestBackward:
             g.backward(Tensor(1.0))
 
     def test_tape_freed_without_cycle_collector(self):
-        # a finished tape must go as soon as its Graph is dropped: its patch
-        # matrices and closures dominate the memory of a rollout
+        # a finished tape must go as soon as its Graph is dropped: it holds
+        # every op output and closure of a rollout
         x = Tensor(np.ones((1, 2, 6, 6)), requires_grad=True)
         k = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
         enabled = gc.isenabled()

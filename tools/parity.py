@@ -9,11 +9,16 @@ lockstep for 400 frames, in easy and in hard mode. A change meant to keep
 training bit for bit prints the same eight lines before and after. The
 digests depend on the BLAS build, so compare them on one machine rather
 than pinning them.
+
+Each line ends with the run's peak of traced memory (``tracemalloc``, in
+MiB) after the label; it is printed, not compared, so ``cut -c1-64`` of two
+outputs still compares the digests alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 from groundnav import a3c, gridnav, nets
 
@@ -55,9 +60,12 @@ def digest(params: nets.Params) -> str:
 def main() -> None:
     corpus = gridnav.build_corpus(a3c.EnvSettings().corpus_seed)
     vocab = nets.build_vocab(corpus.train + corpus.test)
+    tracemalloc.start()
     for label, mconf, tconf, env in runs(vocab):
+        tracemalloc.reset_peak()
         result = a3c.train(tconf, mconf, env, SEED)
-        print(f"{digest(result.params)}  {label}")
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        print(f"{digest(result.params)}  {label}  [peak {peak:.1f} MiB]")
 
 
 if __name__ == "__main__":
