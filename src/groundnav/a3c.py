@@ -19,7 +19,8 @@ Batches: every per-step value carries one leading batch axis B, one row
 per environment (see ``nets``): the forward's probabilities and values, each
 ``RolloutStep``'s log-probabilities, values, rewards and done flags, and the
 returns. The rows share the parameters. One worker is a batch of one, and
-``play_episode`` plays one episode as a batch of one.
+``play_episode`` plays one episode as a batch of one, each frame on a tape of
+its own; the bootstrap forward, read only as data, also gets its own tape.
 """
 
 from __future__ import annotations
@@ -312,6 +313,11 @@ def _row_mask(batch: int, rows) -> np.ndarray:
     return mask
 
 
+def _detach(att: AttentionState) -> AttentionState:
+    """``att`` as leaves that no tape owns."""
+    return AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
+
+
 def _reset_attention(g: Graph, mconf: ModelConfig, att: AttentionState,
                      rows) -> AttentionState:
     """``att`` with its ``rows`` (row indices) set to the initial state."""
@@ -354,16 +360,18 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
     batch = len(workers)
     x_l = encode_instruction(g, params, mconf,
                              [w.instruction.tokens for w in workers])
-    att = AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
+    att = _detach(att)
     steps: list[RolloutStep] = []
     while True:
         over = len(steps) == tconf.n_steps or collector.stopped
         if over and np.all(steps[-1].done):
             return steps, None, att
         images = Tensor(np.array([w.obs.image.data for w in workers]))
-        out = model_step(g, params, mconf, x_l, images, att)
         if over:
+            out = model_step(Graph(), params, mconf, Tensor(x_l.data), images,
+                             _detach(att))
             return steps, out.value.data, att
+        out = model_step(g, params, mconf, x_l, images, att)
         p = out.probs.data
         # a row that plays no frame keeps a log-probability that is finite
         actions = p.argmax(axis=1).tolist()
@@ -496,19 +504,19 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
                  capture: bool = False) -> EpisodeResult:
     """Roll one episode as a batch of one; greedy mode takes the argmax
     action (ties to the lowest index). ``attended`` holds each frame's
-    (c, h, w) maps."""
+    (c, h, w) maps. Each frame runs on a tape of its own."""
     if not greedy and rng is None:
         raise ValueError("sampled playout needs an rng")
     state, obs = gridnav.reset(env_seed, difficulty, instruction,
                                render_hw=(mconf.render_h, mconf.render_w))
-    g = Graph()
-    x_l = encode_instruction(g, params, mconf, [instruction.tokens])
+    x_l = Tensor(encode_instruction(Graph(), params, mconf,
+                                    [instruction.tokens]).data)
     att = initial_attention_state(mconf)
     result = EpisodeResult(reward=0.0, success=False, steps=0, trace=[])
     final_reward = 0.0
     for t in range(MAX_STEPS):
-        out = model_step(g, params, mconf, x_l, Tensor(obs.image.data[None]),
-                         att)
+        out = model_step(Graph(), params, mconf, x_l,
+                         Tensor(obs.image.data[None]), att)
         if capture:
             result.frames.append(obs.image.data.copy())
             result.attended.append(
@@ -518,7 +526,7 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         state, reward, done = gridnav.advance(state, ACTIONS[action])
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))
-        att = out.next_attention_state
+        att = _detach(out.next_attention_state)
         final_reward = reward
         result.steps = t + 1
         if done:

@@ -10,16 +10,18 @@ accumulate into ``.grad`` across repeated ``backward`` calls until the caller
 resets them (multi-step rollouts rely on this). Intermediate gradients are
 scratch storage local to one backward sweep.
 
-Lifetime: a tape keeps each node's inputs and output, plus what its
-backward reads. conv2d keeps no im2col columns (its backward rebuilds them
-from its input), and ``backward`` frees each intermediate gradient once its
-node has passed it on. A tensor holds no reference to its graph, so the
-tape is acyclic: reference counting frees it, with every array its closures
-keep, as soon as the last reference to the ``Graph`` is dropped, without
-waiting for the cyclic garbage collector. Ownership is checked through the
-tape index instead: a graph owns an op output ``t`` when ``t.node`` is in
-range and ``nodes[t.node].output is t``. Ops reject operands that another
-graph owns, and ``backward`` rejects a loss this graph does not own.
+Lifetime: a tape lives as long as its ``Graph``, and keeps each node's
+inputs and output plus what its backward reads. conv2d keeps no im2col
+columns (its backward rebuilds them from its input), and ``backward`` frees
+each intermediate gradient once its node has passed it on. A tensor holds
+no reference to its graph, so the tape is acyclic: reference counting frees
+it, with every array its closures keep, as soon as the last reference to the
+``Graph`` is dropped, without the cyclic garbage collector. So a forward
+read only as data (an eval frame, the bootstrap) runs on a ``Graph`` of its
+own, fed leaves ``Tensor(t.data)``. Ownership is checked through the tape
+index: a graph owns an op output ``t`` when ``t.node`` is in range and
+``nodes[t.node].output is t``. Ops reject operands that another graph owns,
+and ``backward`` rejects a loss this graph does not own.
 
 Batches: every per-frame operand carries one leading batch axis B, and a
 call is one node for all B rows; one environment is a batch of one.

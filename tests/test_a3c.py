@@ -719,6 +719,20 @@ class TestPlayEpisode:
         assert res.frames[0].shape == (3, 27, 36)
         assert res.attended[0].shape == (1, 1, 2)
 
+    def test_paper_greedy_episode_memory(self, tiny_model, traced_peak):
+        # each frame runs on a tape of its own, freed once its action is
+        # taken (on one tape for the whole episode, the peak is about 131
+        # MiB; with a tape per frame, about 6)
+        corpus, _ = tiny_model
+        mconf = nets.paper_config(nets.build_vocab(corpus.train + corpus.test))
+        params = nets.init_params(mconf, 0)
+
+        def play():
+            return play_episode(params, mconf, corpus.train[0], 5, "hard")
+
+        assert play().steps == gridnav.MAX_STEPS  # warm-up: lazy caches
+        assert traced_peak(play) < 20 * 2**20
+
     def test_sampled_playout_needs_rng(self, tiny_model, monkeypatch):
         # the missing rng is reported before any work: no reset, no encode
         corpus, mconf = tiny_model

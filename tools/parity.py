@@ -1,4 +1,5 @@
-"""Print the sha256 of every trained parameter byte after eight seeded runs.
+"""Print the sha256 of every trained parameter byte after eight seeded runs,
+then the sha256 of greedy episodes played with each run's parameters.
 
     PYTHONPATH=src python tools/parity.py
 
@@ -13,6 +14,12 @@ than pinning them.
 Each line ends with the run's peak of traced memory (``tracemalloc``, in
 MiB) after the label; it is printed, not compared, so ``cut -c1-64`` of two
 outputs still compares the digests alone.
+
+After the eight training lines come eight ``<sha256>  eval: <label>``
+lines, one per run in the same order. Each covers the traces and the
+captured attention maps of 10 greedy hard-mode episodes: episode i plays
+training instruction i with environment seed i. A change meant to keep
+greedy evaluation bit for bit prints the same eval lines too.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import tracemalloc
 from groundnav import a3c, gridnav, nets
 
 SEED = 3
+EVAL_EPISODES = 10
 
 
 def runs(vocab):
@@ -57,15 +65,33 @@ def digest(params: nets.Params) -> str:
     return h.hexdigest()
 
 
+def eval_digest(params: nets.Params, mconf: nets.ModelConfig,
+                split) -> str:
+    """sha256 of the traces and attention maps of the greedy episodes."""
+    h = hashlib.sha256()
+    for i in range(EVAL_EPISODES):
+        result = a3c.play_episode(params, mconf, split[i], i, "hard",
+                                  capture=True)
+        h.update(repr(result.trace).encode())
+        for maps in result.attended:
+            h.update(b"None" if maps is None else maps.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     corpus = gridnav.build_corpus(a3c.EnvSettings().corpus_seed)
     vocab = nets.build_vocab(corpus.train + corpus.test)
+    trained = []
     tracemalloc.start()
     for label, mconf, tconf, env in runs(vocab):
         tracemalloc.reset_peak()
         result = a3c.train(tconf, mconf, env, SEED)
         peak = tracemalloc.get_traced_memory()[1] / 2**20
         print(f"{digest(result.params)}  {label}  [peak {peak:.1f} MiB]")
+        trained.append((label, mconf, result.params))
+    tracemalloc.stop()
+    for label, mconf, params in trained:
+        print(f"{eval_digest(params, mconf, corpus.train)}  eval: {label}")
 
 
 if __name__ == "__main__":
