@@ -15,6 +15,12 @@ after the run has stopped, ends its rollout at that step, bootstrapped from
 that step's value. Every run, with any number of workers, is bit-for-bit
 reproducible.
 
+Restarts: when an environment's episode ends, its row of each carried
+state is replaced on the tape by one blend ``t * (1 - fresh) + new``, where
+``fresh`` is 1 at the restarted rows and ``new`` is 0 off them: ``h`` and
+``C`` take the initial state, and, if the rollout goes on, the instruction
+encoding takes the restarted rows' own, encoded alone.
+
 Batches: every per-step value carries one leading batch axis B, one row
 per environment (see ``nets``): the forward's probabilities and values, each
 ``RolloutStep``'s log-probabilities, values, rewards and done flags, and the
@@ -279,8 +285,11 @@ def policy_entropy(g: Graph, probs: Tensor, rows=1.0) -> Tensor:
 
 
 def sample_action(rng: np.random.Generator, p: np.ndarray) -> int:
-    """An action drawn from the distribution ``p``."""
-    return int(rng.choice(len(p), p=p / p.sum()))
+    """An action drawn from ``p``: ``Generator.choice``'s own draw, without
+    its argument checks."""
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class _Worker:
@@ -306,48 +315,9 @@ class _Worker:
         return sample_action(self.rng, p)
 
 
-def _row_mask(batch: int, rows) -> np.ndarray:
-    """1.0 at the ``rows`` of a batch, 0.0 elsewhere."""
-    mask = np.zeros(batch)
-    mask[list(rows)] = 1.0
-    return mask
-
-
 def _detach(att: AttentionState) -> AttentionState:
     """``att`` as leaves that no tape owns."""
     return AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
-
-
-def _reset_attention(g: Graph, mconf: ModelConfig, att: AttentionState,
-                     rows) -> AttentionState:
-    """``att`` with its ``rows`` (row indices) set to the initial state."""
-    batch = att.C.shape[0]
-    init = initial_attention_state(mconf, batch)
-    fresh = _row_mask(batch, rows)
-
-    def reset(t: Tensor, start: Tensor) -> Tensor:
-        return g.add(g.scale(t, 1.0 - fresh),
-                     Tensor(fresh[:, None] * start.data))
-
-    return AttentionState(h=reset(att.h, init.h), C=reset(att.C, init.C))
-
-
-def start_episodes(g: Graph, params: Params, mconf: ModelConfig, x_l: Tensor,
-                   att: AttentionState, rows: dict) -> tuple[Tensor,
-                                                             AttentionState]:
-    """The instruction encoding and attention state of a batch whose
-    ``rows`` (row -> instruction, in row order) start new episodes: their
-    instructions are encoded in one pass and put in by a 0/1 row mask, and
-    their attention state is reset; the other rows are kept as they are on
-    the tape."""
-    new_x = encode_instruction(g, params, mconf,
-                               [ins.tokens for ins in rows.values()])
-    att = _reset_attention(g, mconf, att, rows)
-    batch = x_l.shape[0]
-    fresh = _row_mask(batch, rows)
-    slot = {b: i for i, b in enumerate(rows)}
-    spread = g.row(new_x, [slot.get(b, 0) for b in range(batch)])
-    return g.add(g.scale(x_l, 1.0 - fresh), g.scale(spread, fresh)), att
 
 
 def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
@@ -362,22 +332,16 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
                              [w.instruction.tokens for w in workers])
     att = _detach(att)
     steps: list[RolloutStep] = []
-    while True:
-        over = len(steps) == tconf.n_steps or collector.stopped
-        if over and np.all(steps[-1].done):
-            return steps, None, att
+    over = False
+    while not over:
         images = Tensor(np.array([w.obs.image.data for w in workers]))
-        if over:
-            out = model_step(Graph(), params, mconf, Tensor(x_l.data), images,
-                             _detach(att))
-            return steps, out.value.data, att
         out = model_step(g, params, mconf, x_l, images, att)
         p = out.probs.data
         # a row that plays no frame keeps a log-probability that is finite
         actions = p.argmax(axis=1).tolist()
         rewards = np.zeros(batch)
         dones = np.zeros(batch, dtype=bool)
-        restarts = {}
+        restarts = []
         played = 0
         for b, w in enumerate(workers):
             if not collector.take_frame():
@@ -389,7 +353,7 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
             if dones[b]:
                 collector.end_episode(reward)
                 w.new_episode()
-                restarts[b] = w.instruction
+                restarts.append(b)
             else:
                 w.obs = gridnav.render(w.state)
             played += 1
@@ -409,11 +373,31 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
                                  entropy=policy_entropy(g, out.probs, live),
                                  reward=rewards, done=dones))
         att = out.next_attention_state
-        if restarts and (len(steps) == tconf.n_steps or collector.stopped):
-            # the rollout ends here, and the next one encodes every row
-            att = _reset_attention(g, mconf, att, restarts)
-        elif restarts:
-            x_l, att = start_episodes(g, params, mconf, x_l, att, restarts)
+        over = len(steps) == tconf.n_steps or collector.stopped
+        if restarts:
+            fresh = np.zeros(batch)
+            fresh[restarts] = 1.0
+            init = initial_attention_state(mconf, batch)
+
+            def blend(t: Tensor, new: Tensor) -> Tensor:
+                return g.add(g.scale(t, 1.0 - fresh), new)
+
+            att = AttentionState(
+                h=blend(att.h, Tensor(fresh[:, None] * init.h.data)),
+                C=blend(att.C, Tensor(fresh[:, None] * init.C.data)))
+            if not over:  # else the next rollout encodes every row
+                new_x = encode_instruction(
+                    g, params, mconf,
+                    [workers[b].instruction.tokens for b in restarts])
+                slot = {b: i for i, b in enumerate(restarts)}
+                spread = g.row(new_x, [slot.get(b, 0) for b in range(batch)])
+                x_l = blend(x_l, g.scale(spread, fresh))
+    if np.all(steps[-1].done):
+        return steps, None, att
+    images = Tensor(np.array([w.obs.image.data for w in workers]))
+    out = model_step(Graph(), params, mconf, Tensor(x_l.data), images,
+                     _detach(att))
+    return steps, out.value.data, att
 
 
 def _worker_loop(shared: Params, opt: SharedOptimizerState,

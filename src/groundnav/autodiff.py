@@ -8,7 +8,8 @@ a single reverse sweep over the tape.
 Gradient semantics: leaf tensors created with ``requires_grad=True``
 accumulate into ``.grad`` across repeated ``backward`` calls until the caller
 resets them (multi-step rollouts rely on this). Intermediate gradients are
-scratch storage local to one backward sweep.
+scratch storage local to one backward sweep; a closure's array is borrowed,
+never added into, since ``add`` hands one array to both inputs.
 
 Lifetime: a tape lives as long as its ``Graph``, and keeps each node's
 inputs and output plus what its backward reads. conv2d keeps no im2col
@@ -502,44 +503,41 @@ class Graph:
         index is one int or one per row."""
         if a.data.ndim != 2:
             raise ValueError("pick expects a batch (B, n)")
-        entries = _each_row(index, a.data.shape, "pick")
-        out = a.data[entries]
-
-        def bwd(g):
-            gx = np.zeros(a.data.shape)
-            gx[entries] = g
-            return (gx,)
-
-        return self._record("pick", (a,), out, bwd)
+        return self._take("pick", a, index)
 
     def row(self, m: Tensor, index) -> Tensor:
         """Row ``index`` of each matrix of a batch (B, rows, n), giving
         (B, n), where index is one int or one per matrix; or, for one shared
         matrix (rows, n) and a sequence of B indices, those B rows (B, n): a
         batch of lookups, such as embeddings."""
-        if m.data.ndim == 2 and not isinstance(index, (int, np.integer)):
-            _, rows = _each_row(index, (len(index), m.data.shape[0]), "row")
-            out = m.data[rows]
-
-            def bwd(g):
-                gm = np.zeros(m.data.shape)
-                for b, i in enumerate(rows.tolist()):
-                    gm[i] += g[b]  # a repeated row sums its gradients in order
-                return (gm,)
-
-        elif m.data.ndim == 3:
-            entries = _each_row(index, m.data.shape[:2], "row")
-            out = m.data[entries]
-
-            def bwd(g):
-                gm = np.zeros(m.data.shape)
-                gm[entries] = g
-                return (gm,)
-
-        else:
+        if m.data.ndim == 3:
+            return self._take("row", m, index)
+        if m.data.ndim != 2 or isinstance(index, (int, np.integer)):
             raise ValueError("row expects a batch of matrices, or one matrix "
                              "and a sequence of indices")
+        _, rows = _each_row(index, (len(index), m.data.shape[0]), "row")
+        out = m.data[rows]
+
+        def bwd(g):
+            gm = np.zeros(m.data.shape)
+            for b, i in enumerate(rows.tolist()):
+                gm[i] += g[b]  # a repeated row sums its gradients in order
+            return (gm,)
+
         return self._record("row", (m,), out, bwd)
+
+    def _take(self, op: str, a: Tensor, index) -> Tensor:
+        """The ``pick`` or ``row`` node (``op``) that takes entry ``index``
+        along axis 1 of each row of the batch ``a``."""
+        entries = _each_row(index, a.data.shape[:2], op)
+        out = a.data[entries]
+
+        def bwd(g):
+            ga = np.zeros(a.data.shape)
+            ga[entries] = g
+            return (ga,)
+
+        return self._record(op, (a,), out, bwd)
 
     # -- backward ----------------------------------------------------------------
 
@@ -547,16 +545,15 @@ class Graph:
         """Populate .grad on every requires_grad leaf reachable from loss.
 
         Repeated calls accumulate. Intermediate gradients are recomputed
-        each call, so two sweeps exactly double the leaf gradients.
+        each call, so two sweeps exactly double the leaf gradients. A
+        closure's array is borrowed: a later gradient makes a new sum.
         """
         if not self._owns(loss):
             raise ValueError("loss was not produced on this graph")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
         scratch: list[Optional[np.ndarray]] = [None] * len(self.nodes)
-        owned = [False] * len(self.nodes)
         scratch[loss.node] = np.ones_like(loss.data)
-        owned[loss.node] = True
         for i in range(loss.node, -1, -1):
             g = scratch[i]
             if g is None:
@@ -571,19 +568,11 @@ class Graph:
                     continue
                 if t.node >= 0:
                     j = t.node
-                    if scratch[j] is None:
-                        # borrow the closure's array; copy only on reuse
-                        scratch[j] = gt
-                    elif owned[j]:
-                        scratch[j] += gt
-                    else:
-                        scratch[j] = scratch[j] + gt
-                        owned[j] = True
+                    scratch[j] = gt if scratch[j] is None else scratch[j] + gt
+                elif t.grad is None:
+                    t.grad = gt.copy()
                 else:
-                    if t.grad is None:
-                        t.grad = gt.copy()
-                    else:
-                        t.grad += gt
+                    t.grad += gt
 
 
 def _per_row(value, a: Tensor, op: str):
@@ -599,24 +588,21 @@ def _per_row(value, a: Tensor, op: str):
     return value.reshape(value.shape + (1,) * (a.data.ndim - 1))
 
 
-def _check_index(index, size: int, op: str) -> None:
-    if not 0 <= index < size:
-        raise ValueError(f"{op} index {index} out of range {size}")
-
-
 def _each_row(index, shape: tuple[int, int], op: str) -> tuple:
     """The numpy index of entry ``index`` of each of ``shape[0]`` rows of
     ``shape[1]`` entries: a basic slice for one int, or (rows, ints) for
     one int per row."""
     rows, size = shape
     if isinstance(index, (int, np.integer)):
-        _check_index(index, size, op)
+        if not 0 <= index < size:
+            raise ValueError(f"{op} index {index} out of range {size}")
         return (slice(None), index)
     idx = np.asarray(index)
     if idx.shape != (rows,) or (rows and idx.dtype.kind not in "iu"):
         raise ValueError(f"{op}: {idx.shape} indices for {rows} rows")
-    for i in idx.tolist():
-        _check_index(i, size, op)
+    bad = (idx < 0) | (idx >= size)
+    if bad.any():
+        raise ValueError(f"{op} index {int(idx[bad][0])} out of range {size}")
     return (np.arange(rows), idx)
 
 

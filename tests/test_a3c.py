@@ -260,6 +260,23 @@ class TestBandit:
         assert p_rewarded > 0.99
 
 
+class TestSampleAction:
+    def test_draws_as_generator_choice(self):
+        # the same action as rng.choice(len(p), p=p / p.sum()), draw for
+        # draw, and the generator left in the same state
+        draws = np.random.default_rng(11)
+        ps = [np.exp(z) / np.exp(z).sum()
+              for z in draws.normal(0.0, 3.0, (2000, 6))]
+        ps += [np.eye(6)[i] for i in range(6)]
+        ps += [np.array([0.0, 0.25, 0.0, 0.75]), np.array([0.5, 0.0, 0.5])]
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for p in ps:
+            got = a3c.sample_action(ours, p)
+            want = int(theirs.choice(len(p), p=p / p.sum()))
+            assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestEntropyProperty:
     def test_uniform_maximizes_entropy(self):
         rng = np.random.default_rng(1)

@@ -420,6 +420,19 @@ class TestBackward:
         loss = g.sum_all(y)
         assert traced_peak(lambda: g.backward(loss)) < 8 * 2**20
 
+    def test_shared_gradient_array_not_added_into(self):
+        # add hands one array to both inputs: s's g reaches p and q, and p's
+        # first gradient (from t) is that same array, so adding s's into it
+        # in place would give q 2 for 1, and x 8 for 5
+        g = Graph()
+        x = Tensor([1.0], requires_grad=True)
+        p = g.scale(x, 1.0)
+        q = g.scale(x, 3.0)
+        s = g.add(p, q)
+        t = g.add(s, p)
+        g.backward(g.sum_all(t))
+        np.testing.assert_array_equal(x.grad, [5.0])
+
     def test_loss_must_be_scalar(self):
         g = Graph()
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -632,6 +645,20 @@ class TestBatchedOps:
             g.conv1d_channels(Tensor(np.ones((2, 4, 3, 3))),
                               Tensor(np.ones((3, 4))))
 
+    @pytest.mark.parametrize("op, shape, index, message", [
+        ("pick", (3, 3), [0, -1, 5], "pick index -1 out of range 3"),
+        ("pick", (3, 3), 3, "pick index 3 out of range 3"),
+        ("row", (3, 2, 4), [1, 2, 0], "row index 2 out of range 2"),
+        ("row", (4, 2), [0, 4, 9], "row index 4 out of range 4"),
+    ])
+    def test_index_out_of_range_named(self, op, shape, index, message):
+        # the error names the op, the first bad index and the range, and
+        # nothing is recorded
+        g = Graph()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(g, op)(Tensor(np.ones(shape)), index)
+        assert g.nodes == []
+
 
 class TestGradCheckProperty:
     """Randomized finite-difference agreement for every registered op.
@@ -654,19 +681,20 @@ class TestGradCheckProperty:
     def test_end_to_end_reaches_every_parameter(self, monkeypatch):
         # the GRU, the embedding and every LSTM gate must reach the loss, or
         # the end-to-end check compares zero with zero; and the scripted
-        # rollout restarts row 1, once, inside the rollout
-        restarts = []
-        start = a3c.start_episodes
+        # rollout restarts row 1, once, inside the rollout: the rollout start
+        # encodes both rows, the restart row 1 alone
+        encoded = []
+        encode = a3c.encode_instruction
 
-        def counted(g, params, mconf, x_l, att, rows):
-            restarts.append(list(rows))
-            return start(g, params, mconf, x_l, att, rows)
+        def counted(g, params, config, tokens):
+            encoded.append(len(tokens))
+            return encode(g, params, config, tokens)
 
-        monkeypatch.setattr(a3c, "start_episodes", counted)
+        monkeypatch.setattr(a3c, "encode_instruction", counted)
         mconf, params, split = gradcheck._tiny_model(0)
         g, loss = gradcheck._training_loss(mconf, params, split, 0)
         g.backward(loss)
-        assert restarts == [[1]]
+        assert encoded == [2, 1]
         assert len(params.names()) == 23
         assert [n for n, t in params.items()
                 if t.grad is None or not t.grad.any()] == []
