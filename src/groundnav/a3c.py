@@ -17,9 +17,9 @@ reproducible.
 
 Restarts: when an environment's episode ends, its row of each carried
 state is replaced on the tape by one blend ``t * (1 - fresh) + new``, where
-``fresh`` is 1 at the restarted rows and ``new`` is 0 off them: ``h`` and
-``C`` take the initial state, and, if the rollout goes on, the instruction
-encoding takes the restarted rows' own, encoded alone.
+``fresh`` is 1 at the restarted rows and ``new`` is 0 off them: the
+attention state (B, 2, d) takes the initial state, and, if the rollout goes
+on, the instruction encoding takes the restarted rows' own, encoded alone.
 
 Batches: every per-step value carries one leading batch axis B, one row
 per environment (see ``nets``): the forward's probabilities and values, each
@@ -43,7 +43,6 @@ from . import gridnav
 from .autodiff import Graph, Tensor
 from .gridnav import ACTIONS, MAX_STEPS
 from .nets import (
-    AttentionState,
     ModelConfig,
     Params,
     encode_instruction,
@@ -84,6 +83,10 @@ class TrainerConfig:
             raise ValueError("n_steps must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if not 0.0 <= self.rmsprop_alpha <= 1.0:
+            raise ValueError("rmsprop_alpha must be in [0, 1]")
+        if self.rmsprop_eps <= 0:
+            raise ValueError("rmsprop_eps must be > 0")
         for name in ("grad_clip_norm", "entropy_coef", "value_coef"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -315,13 +318,8 @@ class _Worker:
         return sample_action(self.rng, p)
 
 
-def _detach(att: AttentionState) -> AttentionState:
-    """``att`` as leaves that no tape owns."""
-    return AttentionState(h=Tensor(att.h.data), C=Tensor(att.C.data))
-
-
 def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
-             mconf: ModelConfig, workers: list[_Worker], att: AttentionState,
+             mconf: ModelConfig, workers: list[_Worker], att: Tensor,
              collector: Collector):
     """Play up to ``tconf.n_steps`` lockstep steps of ``workers`` on ``g``,
     starting from the attention state ``att`` (detached here). Returns the
@@ -330,7 +328,7 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
     batch = len(workers)
     x_l = encode_instruction(g, params, mconf,
                              [w.instruction.tokens for w in workers])
-    att = _detach(att)
+    att = Tensor(att.data)
     steps: list[RolloutStep] = []
     over = False
     while not over:
@@ -382,9 +380,7 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
             def blend(t: Tensor, new: Tensor) -> Tensor:
                 return g.add(g.scale(t, 1.0 - fresh), new)
 
-            att = AttentionState(
-                h=blend(att.h, Tensor(fresh[:, None] * init.h.data)),
-                C=blend(att.C, Tensor(fresh[:, None] * init.C.data)))
+            att = blend(att, Tensor(fresh[:, None, None] * init.data))
             if not over:  # else the next rollout encodes every row
                 new_x = encode_instruction(
                     g, params, mconf,
@@ -396,7 +392,7 @@ def _rollout(g: Graph, params: Params, tconf: TrainerConfig,
         return steps, None, att
     images = Tensor(np.array([w.obs.image.data for w in workers]))
     out = model_step(Graph(), params, mconf, Tensor(x_l.data), images,
-                     _detach(att))
+                     Tensor(att.data))
     return steps, out.value.data, att
 
 
@@ -510,7 +506,7 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         state, reward, done = gridnav.advance(state, ACTIONS[action])
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))
-        att = _detach(out.next_attention_state)
+        att = Tensor(out.next_attention_state.data)
         final_reward = reward
         result.steps = t + 1
         if done:

@@ -520,8 +520,7 @@ class Graph:
 
         def bwd(g):
             gm = np.zeros(m.data.shape)
-            for b, i in enumerate(rows.tolist()):
-                gm[i] += g[b]  # a repeated row sums its gradients in order
+            np.add.at(gm, rows, g)  # a repeated row sums its gradients in order
             return (gm,)
 
         return self._record("row", (m,), out, bwd)

@@ -10,12 +10,14 @@ output gates, which all read the whole gate input, share one stacked weight
 ``lstm_w`` and bias ``lstm_b``; the GRU instruction encoder runs once per
 episode and stays composed of elementwise ops. The fused state has
 length feat_h*feat_w in every variant so the policy heads stay comparable.
+The carried attention state is the (B, 2, d) output of ``lstm_cell``, h over
+C in each batch row; only ``fuse`` unpacks it, once per recurrent frame.
 
 Batches: every per-frame input carries one leading batch axis B (see
 ``autodiff``): images (B, 3, H, W), the instruction encoding (B, l) and the
-attention state (B, d) go in together, and every output carries the same
-axis, so one call steps B environments on one tape; one environment is a
-batch of one. Parameters are shared by the rows.
+attention state go in together, and every output carries the same axis,
+so one call steps B environments on one tape; one environment is a batch
+of one. Parameters are shared by the rows.
 """
 
 from __future__ import annotations
@@ -116,22 +118,15 @@ def paper_config(vocab) -> ModelConfig:
         conv_specs=((32, 8, 4), (64, 4, 2), (64, 4, 2)))
 
 
-@dataclass
-class AttentionState:
-    h: Tensor  # LSTM output h_t
-    C: Tensor  # cell state == attention vector
-
-
-def initial_attention_state(config: ModelConfig,
-                            batch: int = 1) -> AttentionState:
-    """The state before an episode's first frame, (batch, d) rows."""
+def initial_attention_state(config: ModelConfig, batch: int = 1) -> Tensor:
+    """The state (batch, 2, d) before an episode's first frame: h_0 in row
+    0 and C_0 in row 1 of each batch row."""
     # The first frame applies h_0 under lstm_output and C_0 under
     # lstm_cellstate. All ones is a pass-through under Hadamard and a uniform
     # channel weighting under 1D convolution, so C_0 is ones, and h_0 is ones
     # under lstm_output (zero would blank that frame) and zero otherwise.
-    shape = (batch, config.d)
-    h0 = np.ones if config.attention_source == "lstm_output" else np.zeros
-    return AttentionState(h=Tensor(h0(shape)), C=Tensor(np.ones(shape)))
+    h0 = float(config.attention_source == "lstm_output")
+    return Tensor(np.tile([[h0], [1.0]], (batch, 1, config.d)))
 
 
 # --------------------------------------------------------------------------
@@ -316,20 +311,19 @@ def encode_instruction(g: Graph, params: Params, config: ModelConfig,
 
 
 def attention_step(g: Graph, params: Params, config: ModelConfig,
-                   prev: AttentionState, x_t: Tensor) -> AttentionState:
-    """One LSTM update; the new cell state is the next attention vector.
+                   h: Tensor, c: Tensor, x_t: Tensor) -> Tensor:
+    """One LSTM update from h_{t-1} and C_{t-1} (B, d); its output, the
+    next state (B, 2, d), holds h_t and C_t, the next attention vector.
 
-    Four tape nodes: the gate input [h_{t-1}, x_t], one ``lstm_cell`` and a
-    ``row`` each for h_t and C_t. The input, candidate and output gates read
-    all of the gate input through the stacked ``lstm_w`` (3d, n), rows in
-    i, c, o order. The forget gate reads the first ``lstm_wf.shape[1]``
-    entries of it through its own weight, which is h_{t-1} alone or all of
-    it as ``config.forget_gate_sees_input`` sized that weight.
+    Two tape nodes: the gate input [h_{t-1}, x_t] and one ``lstm_cell``.
+    The input, candidate and output gates read all of the gate input
+    through the stacked ``lstm_w`` (3d, n), rows in i, c, o order. The
+    forget gate reads the first ``lstm_wf.shape[1]`` entries of it through
+    its own weight, which is h_{t-1} alone or all of it as
+    ``config.forget_gate_sees_input`` sized that weight.
     """
-    hx = g.concat([prev.h, x_t])
-    hc = g.lstm_cell(hx, prev.C, params["lstm_wf"], params["lstm_bf"],
-                     params["lstm_w"], params["lstm_b"])
-    return AttentionState(h=g.row(hc, 0), C=g.row(hc, 1))
+    return g.lstm_cell(g.concat([h, x_t]), c, params["lstm_wf"],
+                       params["lstm_bf"], params["lstm_w"], params["lstm_b"])
 
 
 def _flatten_maps(g: Graph, maps: Tensor) -> Tensor:
@@ -338,12 +332,13 @@ def _flatten_maps(g: Graph, maps: Tensor) -> Tensor:
 
 
 def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
-         features: Tensor, prev: Optional[AttentionState]
+         features: Tensor, prev: Optional[Tensor]
          ) -> tuple[Optional[Tensor], Optional[Tensor], Tensor,
-                    Optional[AttentionState]]:
+                    Optional[Tensor]]:
     """(attention, attended maps, fused state, next recurrent state).
 
-    Recurrent sources apply the previous step's vector, then advance the
+    Recurrent sources unpack the previous state (B, 2, d) into h and C with
+    one ``row`` each, apply the previous step's vector, then advance the
     LSTM on the fused state and the instruction; the other sources compute
     the vector from scratch and pass ``prev`` through. ``concat`` fusion has
     no attention, so its vector and maps are None.
@@ -358,7 +353,8 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     if recurrent:
         if prev is None:
             raise ValueError(f"{source} needs a previous attention state")
-        att = prev.h if source == "lstm_output" else prev.C
+        h, c = g.row(prev, 0), g.row(prev, 1)
+        att = h if source == "lstm_output" else c
     else:
         inp = x_l if source == "static_instruction" \
             else g.concat([_flatten_maps(g, features), x_l])
@@ -373,7 +369,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
         state = g.matvec(params["had_w"], flat, params["had_b"])
 
     if recurrent:
-        prev = attention_step(g, params, config, prev, g.concat([state, x_l]))
+        prev = attention_step(g, params, config, h, c, g.concat([state, x_l]))
     return att, maps, state, prev
 
 
@@ -390,11 +386,11 @@ class StepOutput:
     attended: Optional[Tensor]  # pre-flatten attended maps (heatmap source)
     probs: Tensor
     value: Tensor
-    next_attention_state: Optional[AttentionState]
+    next_attention_state: Optional[Tensor]  # (B, 2, d): h_t, C_t
 
 
 def model_step(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
-               image: Tensor, prev: Optional[AttentionState]) -> StepOutput:
+               image: Tensor, prev: Optional[Tensor]) -> StepOutput:
     """Full per-frame forward pass of a batch of images (B, 3, H, W):
     image encoder, fusion, policy heads. Gives probabilities (B, actions)
     and values (B,).

@@ -208,6 +208,21 @@ class TestWorkerUpdate:
         assert f1 < f0
 
 
+class TestTrainerConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("rmsprop_alpha", -0.1), ("rmsprop_alpha", 1.5),
+        ("rmsprop_eps", 0.0), ("rmsprop_eps", -1e-8)])
+    def test_rmsprop_settings_that_make_nan_rejected(self, key, value):
+        # eps 0 divides 0 by 0 for a parameter with no gradient yet, and
+        # alpha above 1 takes the square root of a negative average
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainerConfig(**{key: value})
+
+    def test_rmsprop_range_ends_accepted(self):
+        for alpha in (0.0, 1.0):
+            assert TrainerConfig(rmsprop_alpha=alpha).rmsprop_alpha == alpha
+
+
 def _run_bandit(updates=200, entropy_coef=0.01, lr=2e-2, seed=0,
                 rollouts_per_update=5):
     """1-state 2-action bandit: action 0 pays 1, action 1 pays 0."""
@@ -673,10 +688,11 @@ class TestLockstep:
         assert encoded == [len(workers)]
         assert (bootstrap is None) == (not partner)
         init = nets.initial_attention_state(mconf)
-        for got, want in ((att.h, init.h), (att.C, init.C)):
-            assert got.data[-1].tobytes() == want.data[0].tobytes()
+        for row in (0, 1):  # h, then C, of the packed (B, 2, d) state
+            got, want = att.data[:, row], init.data[:, row]
+            assert got[-1].tobytes() == want[0].tobytes()
             if partner:
-                assert not np.array_equal(got.data[0], want.data[0])
+                assert not np.array_equal(got[0], want[0])
 
 
 def _overflowing_trunk(params: Params) -> Params:

@@ -660,6 +660,23 @@ class TestBatchedOps:
         assert g.nodes == []
 
 
+    def test_repeated_lookup_sums_in_index_order(self):
+        # a lookup's backward adds each batch row's gradient into its matrix
+        # row, unbuffered and in index order, from 0.0: with magnitudes
+        # spread over 1e+-8 the bytes depend on that order
+        rng = np.random.default_rng(3)
+        index = [2, 0, 2, 2]
+        g = Graph()
+        out = g.row(Tensor(rng.standard_normal((3, 5))), index)
+        assert out.data.tobytes() == g.nodes[-1].inputs[0].data[index].tobytes()
+        grad = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-8, 9, (4, 5))
+        (got,) = g.nodes[-1].backward_fn(grad)
+        want = np.zeros((3, 5))
+        for b, i in enumerate(index):
+            want[i] += grad[b]
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGradCheckProperty:
     """Randomized finite-difference agreement for every registered op.
 

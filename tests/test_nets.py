@@ -8,7 +8,6 @@ import pytest
 from groundnav import gridnav, nets
 from groundnav.autodiff import Graph, Tensor
 from groundnav.nets import (
-    AttentionState,
     ModelConfig,
     attention_step,
     config_digest,
@@ -345,26 +344,24 @@ class TestAttentionStep:
         params["lstm_bf"].data[...] = 500.0  # sigmoid saturates to exactly 1
         params["lstm_b"].data[:8] = -500.0   # and the input gate to exactly 0
         rng = np.random.default_rng(1)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
-                              C=Tensor(rng.uniform(-1, 1, (1, 8))))
+        h, c = (Tensor(rng.uniform(-1, 1, (1, 8))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
-        out = attention_step(Graph(), params, small_config, prev, x)
-        np.testing.assert_array_equal(out.C.data, prev.C.data)
+        out = attention_step(Graph(), params, small_config, h, c, x)
+        np.testing.assert_array_equal(out.data[:, 1], c.data)
 
     def test_pure_write(self, small_config):
         params = self._params(small_config)
         params["lstm_bf"].data[...] = -500.0
         params["lstm_b"].data[:8] = 500.0
         rng = np.random.default_rng(2)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 8))),
-                              C=Tensor(rng.uniform(-1, 1, (1, 8))))
+        h, c = (Tensor(rng.uniform(-1, 1, (1, 8))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
         g = Graph()
-        out = attention_step(g, params, small_config, prev, x)
-        hx = np.concatenate([prev.h.data[0], x.data[0]])
+        out = attention_step(g, params, small_config, h, c, x)
+        hx = np.concatenate([h.data[0], x.data[0]])
         cbar = np.tanh(params["lstm_w"].data[8:16] @ hx
                        + params["lstm_b"].data[8:16])
-        np.testing.assert_allclose(out.C.data[0], cbar, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 1], cbar, atol=1e-12)
 
     def test_matches_scalar_oracle(self, vocab):
         config = ModelConfig(vocab=vocab, d=2, l=2, embed_dim=2, hidden=4,
@@ -372,17 +369,16 @@ class TestAttentionStep:
                              conv_specs=((4, 5, 3), (6, 4, 2), (2, 3, 1)))
         rng = np.random.default_rng(5)
         params = init_params(config, 5)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 2))),
-                              C=Tensor(rng.uniform(-1, 1, (1, 2))))
+        h, c = (Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
-        out = attention_step(Graph(), params, config, prev, x)
+        out = attention_step(Graph(), params, config, h, c, x)
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
-            weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
+            weights, h.data[0].tolist(), c.data[0].tolist(),
             x.data[0].tolist())
-        np.testing.assert_allclose(out.h.data[0], h_exp, atol=1e-12)
-        np.testing.assert_allclose(out.C.data[0], c_exp, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0], h_exp, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 1], c_exp, atol=1e-12)
 
     def test_literal_forget_gate_variant(self, vocab):
         config = ModelConfig(vocab=vocab, d=2, l=2, embed_dim=2, hidden=4,
@@ -392,33 +388,32 @@ class TestAttentionStep:
         params = init_params(config, 6)
         assert params["lstm_wf"].data.shape == (2, 2)
         rng = np.random.default_rng(6)
-        prev = AttentionState(h=Tensor(rng.uniform(-1, 1, (1, 2))),
-                              C=Tensor(rng.uniform(-1, 1, (1, 2))))
+        h, c = (Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
-        out = attention_step(Graph(), params, config, prev, x)
+        out = attention_step(Graph(), params, config, h, c, x)
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
-            weights, prev.h.data[0].tolist(), prev.C.data[0].tolist(),
+            weights, h.data[0].tolist(), c.data[0].tolist(),
             x.data[0].tolist(), forget_sees_input=False)
-        np.testing.assert_allclose(out.h.data[0], h_exp, atol=1e-12)
-        np.testing.assert_allclose(out.C.data[0], c_exp, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0], h_exp, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 1], c_exp, atol=1e-12)
 
     def test_dimension_mismatch(self, small_config):
         params = self._params(small_config)
         prev = initial_attention_state(small_config)
         with pytest.raises(ValueError):
-            attention_step(Graph(), params, small_config, prev,
+            attention_step(Graph(), params, small_config,
+                           Tensor(prev.data[:, 0]), Tensor(prev.data[:, 1]),
                            Tensor(np.zeros((1, 3))))
 
 
 class TestApplyAttention:
     @staticmethod
     def _carried(c):
-        # under lstm_cellstate, fuse applies the carried cell state; a batch
-        # of one
-        return AttentionState(h=Tensor(np.zeros((1, len(c)))),
-                              C=Tensor(c[None]))
+        # under lstm_cellstate, fuse applies the carried cell state, row 1
+        # of the packed (B, 2, d) state; a batch of one
+        return Tensor(np.stack([np.zeros(len(c)), c])[None])
 
     def test_conv1d_one_hot(self, small_config):
         params = init_params(small_config, 1)
@@ -526,7 +521,7 @@ class TestComputeAttention:
                      for i in range(1) for j in range(2)]
             x_t = state + list(x_l)
             h, c = lstm_scalar_oracle(weights, h, c, x_t)
-        np.testing.assert_allclose(prev.C.data[0], c, atol=1e-12)
+        np.testing.assert_allclose(prev.data[0, 1], c, atol=1e-12)
 
     def test_lstm_output_source_uses_h(self, small_config):
         params = init_params(small_config, 11)
@@ -538,7 +533,7 @@ class TestComputeAttention:
         features = Tensor(rng.uniform(-1, 1, (1, 8, 1, 2)))
         prev = initial_attention_state(config)
         att, _, _, new = fuse(g, params, config, x_l, features, prev)
-        np.testing.assert_array_equal(att.data, prev.h.data)
+        np.testing.assert_array_equal(att.data, prev.data[:, 0])
         assert new is not prev
 
     def test_missing_prev_state_rejected(self, small_config):
@@ -750,11 +745,11 @@ class TestModelStep:
         g = Graph()
         x_l = encode_instruction(g, params, small_config, [ins.tokens])
         att = initial_attention_state(small_config)
-        c0 = att.C.data.copy()
+        c0 = att.data[:, 1].copy()
         for t in range(4):
             out = model_step(g, params, small_config, x_l, one(obs.image), att)
             att = out.next_attention_state
-            np.testing.assert_array_equal(att.C.data, c0)
+            np.testing.assert_array_equal(att.data[:, 1], c0)
             state, _, _ = gridnav.advance(state, "turn_left")
             obs = gridnav.render(state)
 
@@ -839,6 +834,34 @@ class TestModelStep:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestAttentionStateLayout:
+    @pytest.mark.parametrize("source", ["lstm_cellstate", "lstm_output"])
+    def test_next_state_is_the_lstm_cell_output(self, vocab, corpus, source):
+        # the carried state is the (B, 2, d) tensor lstm_cell emits, h over
+        # C, and unpacking it costs a recurrent frame no extra node
+        config = ModelConfig(vocab=vocab, attention_source=source)
+        params = init_params(config, 19)
+        hw = (config.render_h, config.render_w)
+        images = Tensor(np.stack([
+            gridnav.reset(k, "easy", corpus.train[k], render_hw=hw)[1]
+            .image.data for k in (0, 1)]))
+        prev = initial_attention_state(config, 2)
+        assert prev.shape == (2, 2, config.d)
+        assert (prev.data[:, 0] == float(source == "lstm_output")).all()
+        assert (prev.data[:, 1] == 1.0).all()
+        for _ in range(2):  # the first frame, then a recurrent one
+            g = Graph()
+            out = model_step(g, params, config,
+                             Tensor(np.zeros((2, config.l))), images,
+                             Tensor(prev.data))
+            cells = [node for node in g.nodes if node.op == "lstm_cell"]
+            assert len(cells) == 1
+            assert out.next_attention_state is cells[0].output
+            assert out.next_attention_state.shape == (2, 2, config.d)
+            assert len(g.nodes) == 22
+            prev = out.next_attention_state
+
+
 class TestTapeBudget:
     """Nodes one forward of a batch of one records at ModelConfig defaults.
     Each affine layer is a single matvec node with its bias inside and the
@@ -859,10 +882,10 @@ class TestTapeBudget:
         config = ModelConfig(vocab=vocab)
         params = init_params(config, 18)
         g = Graph()
-        attention_step(g, params, config, initial_attention_state(config),
+        h, c = Tensor(np.zeros((1, config.d))), Tensor(np.ones((1, config.d)))
+        attention_step(g, params, config, h, c,
                        Tensor(np.zeros((1, config.lstm_input_len))))
-        assert [node.op for node in g.nodes] == \
-            ["concat", "lstm_cell", "row", "row"]
+        assert [node.op for node in g.nodes] == ["concat", "lstm_cell"]
 
     def test_encode_instruction_nodes(self, vocab):
         config = ModelConfig(vocab=vocab)
