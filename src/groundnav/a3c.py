@@ -493,7 +493,6 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
                                     [instruction.tokens]).data)
     att = initial_attention_state(mconf)
     result = EpisodeResult(reward=0.0, success=False, steps=0, trace=[])
-    final_reward = 0.0
     for t in range(MAX_STEPS):
         out = model_step(Graph(), params, mconf, x_l,
                          Tensor(obs.image.data[None]), att)
@@ -507,11 +506,10 @@ def play_episode(params: Params, mconf: ModelConfig, instruction,
         result.trace.append(gridnav.trace_record(t, ACTIONS[action], reward,
                                                  done, state))
         att = Tensor(out.next_attention_state.data)
-        final_reward = reward
+        result.reward = reward
         result.steps = t + 1
         if done:
             break
         obs = gridnav.render(state)
-    result.reward = final_reward
-    result.success = final_reward == gridnav.REWARD_CORRECT
+    result.success = result.reward == gridnav.REWARD_CORRECT
     return result

@@ -6,10 +6,12 @@ recorded, append order is a valid topological order and the backward pass is
 a single reverse sweep over the tape.
 
 Gradient semantics: leaf tensors created with ``requires_grad=True``
-accumulate into ``.grad`` across repeated ``backward`` calls until the caller
-resets them (multi-step rollouts rely on this). Intermediate gradients are
-scratch storage local to one backward sweep; a closure's array is borrowed,
-never added into, since ``add`` hands one array to both inputs.
+accumulate into ``.grad`` until the caller resets them, so a leaf read by
+several nodes in one sweep (a weight read on every frame of a rollout) gets
+their sum; the trainer runs one ``backward`` per rollout, after
+``zero_grads``. Intermediate gradients are scratch storage local to one
+sweep; a closure's array is borrowed, never added into, since ``add`` hands
+one array to both inputs.
 
 Lifetime: a tape lives as long as its ``Graph``, and keeps each node's
 inputs and output plus what its backward reads. conv2d keeps no im2col

@@ -33,6 +33,9 @@ from .nets import ModelConfig, Params
 # vocabulary comes from the corpus, and the others keep their defaults.
 _NOT_EXPOSED = ("vocab", "action_count", "rmsprop_alpha", "rmsprop_eps")
 
+# eval mode -> the corpus split it scores; the first mode is the default
+EVAL_SPLITS = {"multitask": "train", "zeroshot": "test"}
+
 
 @dataclass
 class ExperimentConfig:
@@ -45,12 +48,12 @@ class ExperimentConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     env: EnvSettings = field(default_factory=EnvSettings)
     seeds: tuple[int, ...] = (1, 2, 3)
-    eval_mode: str = "multitask"
+    eval_mode: str = next(iter(EVAL_SPLITS))
     eval_episodes: int = 500
     out_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        if self.eval_mode not in ("multitask", "zeroshot"):
+        if self.eval_mode not in EVAL_SPLITS:
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
@@ -273,7 +276,11 @@ class EvalReport:
 def run_eval(params: Params, mconf: ModelConfig, corpus: Corpus, mode: str,
              difficulty: str, episodes: int, seed: int,
              trace_sink: Optional[list] = None) -> EvalReport:
-    split = corpus.train if mode == "multitask" else corpus.test
+    if mode not in EVAL_SPLITS:
+        raise ValueError(f"unknown eval mode {mode!r}")
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    split = getattr(corpus, EVAL_SPLITS[mode])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     wins = 0
     total_reward = 0.0
@@ -393,8 +400,7 @@ def main(argv=None) -> int:
     add_common(sub.add_parser("train", help="train per configured seeds"))
 
     p_eval = add_common(sub.add_parser("eval", help="evaluate a checkpoint"))
-    p_eval.add_argument("--mode", choices=("multitask", "zeroshot"),
-                        default=None)
+    p_eval.add_argument("--mode", choices=EVAL_SPLITS, default=None)
     p_eval.add_argument("--episodes", type=int, default=None)
 
     p_viz = add_common(sub.add_parser(

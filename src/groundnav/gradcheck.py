@@ -103,11 +103,6 @@ def _same_shape(op: str, count=1, low=-2.0, high=2.0, kink=None):
     return draw
 
 
-def _draw_sum_all(rng, batch):
-    x = rng.uniform(-1.0, 1.0, size=(batch,) + _shape(rng))
-    return [x], (True,), lambda g, t, row=None: g.sum_all(t[0])
-
-
 def _channelwise(op: str, max_channels=4, shared_vector=False):
     """Draw a batch of (c, h, w) maps and length-c vectors for a per-channel
     op: one vector per row, or one shared like a bias."""
@@ -243,7 +238,7 @@ DRAWS: dict[str, Callable] = {
     "softmax": _draw_softmax,
     "concat": _draw_concat,
     "reshape": _draw_reshape,
-    "sum_all": _draw_sum_all,
+    "sum_all": _same_shape("sum_all", low=-1.0, high=1.0),
     "pick": _draw_pick,
     "row": _draw_row,
 }

@@ -471,8 +471,6 @@ def render(state: WorldState) -> Observation:
         left, right = cx - hw, cx + hw
         t0, b0 = max(0, top), min(h_px, bot)
         l0, r0 = max(0, left), min(w_px, right)
-        if t0 >= b0 or l0 >= r0:
-            continue
         mask = _pattern_mask(obj.shape, bot - top, right - left)
         mask = mask[t0 - top:b0 - top, l0 - left:r0 - left]
         rgb = _COLOR_RGB[obj.color]

@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Graph, Tensor
+from .gridnav import ACTIONS
 
 ATTENTION_SOURCES = ("static_instruction", "current_frame",
                      "lstm_output", "lstm_cellstate")
@@ -65,7 +66,8 @@ class ModelConfig:
     attention_source: str = "lstm_cellstate"
     application: str = "conv1d"
     fusion: str = "attention"
-    action_count: int = 3
+    # always len(ACTIONS); kept only because bench/run.py passes it
+    action_count: int = len(ACTIONS)
     forget_gate_sees_input: bool = True
 
     def __post_init__(self):
@@ -75,16 +77,19 @@ class ModelConfig:
             raise ValueError(f"unknown application {self.application!r}")
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}")
+        if self.action_count != len(ACTIONS):
+            raise ValueError(f"action_count must be {len(ACTIONS)}")
         for name in ("d", "l", "embed_dim", "hidden", "render_h", "render_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if any(v < 1 for spec in self.conv_specs for v in spec):
-            raise ValueError("conv_specs entries must be >= 1")
+        if not self.conv_specs or any(len(spec) != 3 or min(spec) < 1
+                                      for spec in self.conv_specs):
+            raise ValueError("conv_specs must be triples of ints >= 1")
         if self.conv_specs[-1][0] != self.d:
             raise ValueError("last conv layer must emit d channels")
         if self.feat_h < 1 or self.feat_w < 1:
             raise ValueError("conv stack collapses the image to nothing")
-        if self.vocab[0] != UNK_TOKEN:
+        if not self.vocab or self.vocab[0] != UNK_TOKEN:
             raise ValueError("vocab id 0 must be the unknown token")
 
     @property
@@ -133,26 +138,17 @@ def initial_attention_state(config: ModelConfig, batch: int = 1) -> Tensor:
 # Parameters
 # --------------------------------------------------------------------------
 
-class Params:
+class Params(dict[str, Tensor]):
     """Named tensors in a fixed declaration order (the checkpoint order)."""
 
-    def __init__(self, tensors: dict[str, Tensor]):
-        self._tensors = dict(tensors)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
     def names(self) -> list[str]:
-        return list(self._tensors)
-
-    def items(self):
-        return self._tensors.items()
+        return list(self)
 
     def tensors(self) -> list[Tensor]:
-        return list(self._tensors.values())
+        return list(self.values())
 
     def zero_grads(self) -> None:
-        for t in self._tensors.values():
+        for t in self.values():
             t.grad = None
 
 

@@ -583,6 +583,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainerConfig(mode="sync", workers=2)
 
+    def test_early_stop_at_first_full_window_over_threshold(self, tiny_model):
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=4000, log_every_episodes=10,
+                              early_stop_accuracy=0.01)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=1)
+        assert result.frames < 4000
+        # rows come every 10 episodes; the window is full from episode 100
+        full = [row for row in result.rows if row["episodes"] >= 100]
+        assert full[-1]["accuracy"] >= 0.01
+        assert all(row["accuracy"] < 0.01 for row in full[:-1])
+        assert result.episodes == full[-1]["episodes"]
+
+    def test_early_stop_out_of_reach_trains_whole_budget(self, tiny_model):
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=4000, log_every_episodes=10,
+                              early_stop_accuracy=1.0)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=1)
+        assert result.frames == 4000
+        assert max(row["accuracy"] for row in result.rows) < 1.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainerConfig(gamma=0.0)

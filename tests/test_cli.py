@@ -341,6 +341,22 @@ class TestEval:
             cmd_eval(bad, tmp_path, out / "seed1" / "checkpoint.bin",
                      "multitask", 5, seed=1)
 
+    @pytest.mark.parametrize("mode, episodes, message", [
+        ("multi", 5, "unknown eval mode 'multi'"),
+        ("multitask", 0, "episodes must be >= 1")],
+        ids=["unknown_mode", "no_episodes"])
+    def test_bad_request_rejected_before_any_episode(
+            self, tiny_config, monkeypatch, mode, episodes, message):
+        def play_episode(*args, **kwargs):
+            raise AssertionError("an episode was played")
+
+        monkeypatch.setattr(cli, "play_episode", play_episode)
+        corpus = gridnav.build_corpus(tiny_config.env.corpus_seed)
+        mconf = tiny_config.model_config(corpus)
+        params = nets.init_params(mconf, 0)
+        with pytest.raises(ValueError, match=message):
+            run_eval(params, mconf, corpus, mode, "easy", episodes, seed=0)
+
     def test_per_instruction_table_counts(self, trained, tmp_path):
         config, out = trained
         report = cmd_eval(config, tmp_path, out / "seed1" / "checkpoint.bin",

@@ -121,12 +121,35 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"{field} .*>= 1"):
             ModelConfig(vocab=vocab, **{field: value})
 
+    def test_action_count_is_the_action_set(self, vocab):
+        assert ModelConfig(vocab=vocab).action_count == len(gridnav.ACTIONS)
+        for count in (2, 4):
+            with pytest.raises(ValueError, match="action_count"):
+                ModelConfig(vocab=vocab, action_count=count)
+
+    def test_empty_vocab_rejected(self):
+        with pytest.raises(ValueError, match="vocab"):
+            ModelConfig(vocab=())
+
+    @pytest.mark.parametrize("specs", [(), ((16, 4),)],
+                             ids=["empty", "not_a_triple"])
+    def test_conv_specs_shape_rejected(self, vocab, specs):
+        with pytest.raises(ValueError, match="conv_specs"):
+            ModelConfig(vocab=vocab, conv_specs=specs)
+
     def test_vocab_reserves_unk(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab=("go", "to"))
 
 
 class TestInitParams:
+    def test_params_is_a_dict_in_declaration_order(self, small_config):
+        params = init_params(small_config, 0)
+        assert isinstance(params, dict)
+        assert list(params) == params.names() == list(
+            param_shapes(small_config))
+        assert list(params.values()) == params.tensors()
+
     def test_same_seed_bit_identical(self, small_config):
         a = init_params(small_config, 5)
         b = init_params(small_config, 5)
