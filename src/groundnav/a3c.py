@@ -248,32 +248,37 @@ class Collector:
         self.loss_count += 1
 
     def end_episode(self, reward: float) -> None:
+        """Count one episode. Once the 100-episode window is full, an
+        accuracy at ``early_stop_accuracy`` stops the run, whatever the log
+        cadence; that episode writes a log row too."""
         self.episodes += 1
         self.recent.append(reward)
-        if self.episodes % self.config.log_every_episodes == 0:
+        early_stop = (0 < self.config.early_stop_accuracy
+                      and len(self.recent) == self.recent.maxlen
+                      and self._accuracy() >= self.config.early_stop_accuracy)
+        if early_stop or self.episodes % self.config.log_every_episodes == 0:
             self._emit_row()
-        if 0 < self.config.max_episodes <= self.episodes:
+        if early_stop or 0 < self.config.max_episodes <= self.episodes:
             self.stopped = True
         if (self.checkpoint_cb is not None
                 and self.config.checkpoint_every_episodes > 0
                 and self.episodes % self.config.checkpoint_every_episodes == 0):
             self.checkpoint_cb(self.episodes)
 
+    def _accuracy(self) -> float:
+        """The share of correct episodes in the window."""
+        return sum(1 for r in self.recent if r == gridnav.REWARD_CORRECT) \
+            / max(1, len(self.recent))
+
     def _emit_row(self) -> None:
         # a window with no update has no losses to average: NaN, not 0.0
         n = self.loss_count or math.nan
-        accuracy = sum(1 for r in self.recent if r == gridnav.REWARD_CORRECT) \
-            / max(1, len(self.recent))
         mean_reward = sum(self.recent) / max(1, len(self.recent))
         self.rows.append(dict(zip(LOG_COLUMNS, (
-            self.episodes, self.frames, mean_reward, accuracy,
+            self.episodes, self.frames, mean_reward, self._accuracy(),
             *(total / n for total in self.loss_sums)))))
         self.loss_sums = [0.0, 0.0, 0.0]
         self.loss_count = 0
-        if (self.config.early_stop_accuracy > 0
-                and len(self.recent) == self.recent.maxlen
-                and accuracy >= self.config.early_stop_accuracy):
-            self.stopped = True
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +448,8 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
     plus the trained parameters. The ``tconf.workers`` environments step in
     lockstep as one batch on the calling thread, and each rollout applies
     one update of the gradient summed over its environments and steps.
+    (Each ``Graph.backward`` may compute large conv2d kernel gradients on
+    a helper thread, which it ends before it returns.)
     ``checkpoint_cb`` runs on the calling thread too; an exception in it or
     in a step ends the run and propagates from here. ``checkpoint_cb`` gets
     the live parameters, the same object the result holds; they are valid

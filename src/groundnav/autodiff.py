@@ -37,6 +37,19 @@ ops and reshape take any shape, ``sum_all`` sums every entry of every row
 into one scalar, and the ``scale``/``shift`` constant and the
 ``pick``/``row`` index are one value for every row or one per row.
 
+Threads: ``backward`` runs on the calling thread, apart from conv2d's large
+kernel gradients. When the kernels are a leaf and the product that forms
+their gradient has at least ``OFFLOAD_MIN_MACS`` multiply-adds, conv2d's
+backward returns that gradient as a callable, and ``backward`` runs it on
+one helper thread, started at the first such callable. No later node of the
+sweep reads a leaf gradient, so the calling thread goes on with the sweep
+meanwhile. From a leaf's first callable on, every contribution to that leaf
+goes to the helper, which adds them in the order the sweep made them; so
+each ``.grad`` is the same sum in the same order as on one thread, each
+product is formed whole on one thread, and the result is bit-identical.
+``backward`` waits for every job and ends the helper before it returns or
+raises, re-raising the helper's first failure: no thread outlives the call.
+
 Finiteness: a leaf is checked once, when its ``Tensor`` is built, so a
 caller cannot put NaN or Inf on the tape. Op outputs are not checked as
 they are recorded; a caller checks the values it reads with
@@ -46,10 +59,19 @@ that produced a non-finite output.
 
 from __future__ import annotations
 
+import queue
+import threading
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+# conv2d computes a kernel gradient of at least this many multiply-adds on
+# the backward's helper thread. Measured on desk-scale lockstep training:
+# offloading conv1's 1.18M product (B = 16) gained nothing, most likely as
+# the helper waits for the interpreter lock while the sweep runs small ops,
+# and its 2.36M product (B = 32) gained about 4% frames/s.
+OFFLOAD_MIN_MACS = 2_000_000
 
 
 class Tensor:
@@ -345,9 +367,13 @@ class Graph:
         the forward is the single product
         ``kernels.reshape(c_out, c_in*k*k) @ cols``. The output is a
         transposed view of that (c_out, B, ho, wo) product. The backward
-        rebuilds ``cols`` from ``x`` for the kernel gradient, and folds the
-        column gradient back onto the images with one ``np.bincount`` over
-        ``_fold_index``, the flat input position of every column entry.
+        rebuilds ``cols`` from ``x`` for the kernel gradient, one product
+        ``g2 @ cols.T``; when the kernels are a leaf and that product has at
+        least ``OFFLOAD_MIN_MACS`` multiply-adds, it returns the gradient as
+        a callable that ``backward`` runs on its helper thread (see Threads
+        in the module docstring). It folds the column gradient back onto
+        the images with one ``np.bincount`` over ``_fold_index``, the flat
+        input position of every column entry.
         That index runs in the columns' row order, so bincount adds each
         input element's contributions from 0.0 in ascending (kernel row,
         kernel column) order, as k*k strided slab adds onto a zeroed image
@@ -373,10 +399,18 @@ class Graph:
             c_out, batch, ho, wo).transpose(1, 0, 2, 3)
         in_shape = x.data.shape
         need_gx = x.requires_grad  # skipping the fold for constant images
+        macs = k2.size * batch * ho * wo  # of the kernel gradient's product
 
         def bwd(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-            gk = (g2 @ _im2col(x.data, k, stride).T).reshape(c_out, c_in, k, k)
+
+            def kernel_grad():
+                return (g2 @ _im2col(x.data, k, stride).T).reshape(
+                    c_out, c_in, k, k)
+
+            gk = kernel_grad  # a leaf's large product: backward's helper
+            if kernels.node >= 0 or macs < OFFLOAD_MIN_MACS:
+                gk = kernel_grad()
             gx = None
             if need_gx:
                 gcols = k2.T @ g2
@@ -547,7 +581,9 @@ class Graph:
 
         Repeated calls accumulate. Intermediate gradients are recomputed
         each call, so two sweeps exactly double the leaf gradients. A
-        closure's array is borrowed: a later gradient makes a new sum.
+        closure's array is borrowed: a later gradient makes a new sum. A
+        closure may return a leaf's gradient as a callable; the helper
+        thread computes and adds it (see Threads in the module docstring).
         """
         if not self._owns(loss):
             raise ValueError("loss was not produced on this graph")
@@ -555,25 +591,72 @@ class Graph:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
         scratch: list[Optional[np.ndarray]] = [None] * len(self.nodes)
         scratch[loss.node] = np.ones_like(loss.data)
-        for i in range(loss.node, -1, -1):
-            g = scratch[i]
-            if g is None:
-                continue
-            node = self.nodes[i]
-            if not node.output.requires_grad:
-                continue
-            grads = node.backward_fn(g)
-            scratch[i] = None  # passed on below; a later sweep recomputes it
-            for t, gt in zip(node.inputs, grads):
-                if gt is None or not t.requires_grad:
+        helper = None
+        offloaded = set()  # the leaves whose every later sum the helper makes
+        try:
+            for i in range(loss.node, -1, -1):
+                g = scratch[i]
+                if g is None:
                     continue
-                if t.node >= 0:
-                    j = t.node
-                    scratch[j] = gt if scratch[j] is None else scratch[j] + gt
-                elif t.grad is None:
-                    t.grad = gt.copy()
-                else:
-                    t.grad += gt
+                node = self.nodes[i]
+                if not node.output.requires_grad:
+                    continue
+                grads = node.backward_fn(g)
+                scratch[i] = None  # passed on below; a later sweep recomputes it
+                for t, gt in zip(node.inputs, grads):
+                    if gt is None or not t.requires_grad:
+                        continue
+                    if t.node >= 0:
+                        j = t.node
+                        scratch[j] = gt if scratch[j] is None else scratch[j] + gt
+                    elif t in offloaded or callable(gt):
+                        if helper is None:
+                            helper = _Helper()
+                        offloaded.add(t)
+                        helper.jobs.put((t, gt))
+                    else:
+                        _accumulate(t, gt)
+        finally:
+            if helper is not None:
+                helper.close()
+        if helper is not None and helper.error is not None:
+            raise helper.error
+
+
+def _accumulate(t: Tensor, gt) -> None:
+    """Add one gradient, or the callable that computes it, into leaf t."""
+    if callable(gt):
+        gt = gt()
+    if t.grad is None:
+        t.grad = gt.copy()
+    else:
+        t.grad += gt
+
+
+class _Helper:
+    """The thread that makes ``backward``'s offloaded leaf sums, one job
+    ``(leaf, gradient)`` at a time in the order they are put. After its
+    first failure it skips the remaining jobs and keeps the exception."""
+
+    def __init__(self):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.error: Optional[BaseException] = None
+        self.thread = threading.Thread(target=self._run,
+                                       name="autodiff-backward-helper")
+        self.thread.start()
+
+    def _run(self) -> None:
+        while (job := self.jobs.get()) is not None:
+            if self.error is None:
+                try:
+                    _accumulate(*job)
+                except BaseException as exc:
+                    self.error = exc
+
+    def close(self) -> None:
+        """Wait for every job, then end the thread."""
+        self.jobs.put(None)
+        self.thread.join()
 
 
 def _per_row(value, a: Tensor, op: str):

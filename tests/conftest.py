@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from groundnav import autodiff
 from groundnav.autodiff import Graph
 
 
@@ -41,3 +42,17 @@ def traced_peak():
             if not tracing:
                 tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The thread of every backward helper started during the test."""
+    started = []
+
+    class Spy(autodiff._Helper):
+        def __init__(self):
+            super().__init__()
+            started.append(self.thread)
+
+    monkeypatch.setattr(autodiff, "_Helper", Spy)
+    return started

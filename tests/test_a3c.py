@@ -378,6 +378,17 @@ class TestTrainLoop:
         peak = traced_peak(lambda: train(tconf, mconf, env, seed=3))
         assert peak < 130 * 2**20
 
+    def test_paper_run_leaves_no_thread(self, tiny_model, helpers):
+        # every paper-scale backward hands its kernel gradients to a helper
+        # thread, and ends it before it returns
+        corpus, _ = tiny_model
+        mconf = nets.paper_config(nets.build_vocab(corpus.train + corpus.test))
+        before = threading.enumerate()
+        train(TrainerConfig(max_frames=20, learning_rate=1e-5), mconf,
+              EnvSettings(difficulty="easy", corpus_seed=7), seed=3)
+        assert helpers
+        assert threading.enumerate() == before
+
     @pytest.mark.parametrize("max_frames", [401, 410])
     def test_sync_trains_exact_frame_budget(self, tiny_model, max_frames):
         # a budget that is not a multiple of n_steps ends mid-rollout; the
@@ -594,6 +605,18 @@ class TestTrainLoop:
         assert full[-1]["accuracy"] >= 0.01
         assert all(row["accuracy"] < 0.01 for row in full[:-1])
         assert result.episodes == full[-1]["episodes"]
+
+    @pytest.mark.parametrize("log_every", [10, 30, 100])
+    def test_early_stop_does_not_depend_on_log_cadence(self, tiny_model,
+                                                        log_every):
+        # the stop is decided at every episode, and the stopping episode
+        # logs its window even off the cadence
+        _, mconf = tiny_model
+        tconf = TrainerConfig(max_frames=4000, log_every_episodes=log_every,
+                              early_stop_accuracy=0.01)
+        result = train(tconf, mconf, EnvSettings("easy", 7), seed=1)
+        assert (result.episodes, result.frames) == (100, 2940)
+        assert result.rows[-1]["episodes"] == result.episodes
 
     def test_early_stop_out_of_reach_trains_whole_budget(self, tiny_model):
         _, mconf = tiny_model

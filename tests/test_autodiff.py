@@ -1,12 +1,13 @@
 import dataclasses
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from groundnav import a3c, autodiff, gradcheck, nets
+from groundnav import a3c, autodiff, gradcheck, gridnav, nets
 from groundnav.autodiff import OP_KINDS, Graph, Tensor
 
 
@@ -482,6 +483,123 @@ class TestBackward:
         foreign = [other.reshape(Tensor(a), a.shape) for a in arrays]
         with pytest.raises(ValueError, match="different graph"):
             build(Graph(), foreign)
+
+
+def _two_frames(rng):
+    """Two frames of a batch of 2 through two conv layers that share their
+    kernels, the first frame's image a leaf too; returns the leaves."""
+    k1 = Tensor(rng.uniform(-1, 1, (4, 2, 3, 3)), requires_grad=True)
+    k2 = Tensor(rng.uniform(-1, 1, (3, 4, 2, 2)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 9, 9)), requires_grad=True)
+    g = Graph()
+    loss = None
+    for image in (x, Tensor(rng.uniform(-1, 1, (2, 2, 9, 9)))):
+        h = g.conv2d(g.relu(g.conv2d(image, k1)), k2, stride=2)
+        term = g.sum_all(g.mul(h, h))
+        loss = term if loss is None else g.add(loss, term)
+    g.backward(loss)
+    return k1, k2, x
+
+
+def _eager_first(rng):
+    """Kernels that get an eager gradient from ``scale``, then conv2d's,
+    then two from ``mul``, in that sweep order; returns the leaves."""
+    k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 7, 7)))
+    g = Graph()
+    square = g.sum_all(g.mul(k, k))
+    out = g.conv2d(x, k)
+    conv = g.sum_all(g.mul(out, out))
+    scaled = g.sum_all(g.scale(k, 3.0))
+    g.backward(g.add(g.add(square, conv), scaled))
+    return (k,)
+
+
+class TestKernelGradientHelper:
+    """conv2d's kernel gradients on backward's helper thread: every
+    ``OFFLOAD_MIN_MACS`` gives the same bytes, and no thread outlives
+    ``backward``."""
+
+    @pytest.mark.parametrize("build", [_two_frames, _eager_first])
+    def test_offload_is_bit_identical(self, monkeypatch, helpers, build):
+        grads = {}
+        for min_macs in (math.inf, 0):
+            monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", min_macs)
+            leaves = build(np.random.default_rng(0))
+            grads[min_macs] = [t.grad.tobytes() for t in leaves]
+            assert len(helpers) == int(min_macs == 0)
+        assert grads[0] == grads[math.inf]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_training_is_bit_identical(self, monkeypatch, helpers, workers):
+        corpus = gridnav.build_corpus(7)
+        mconf = nets.ModelConfig(vocab=nets.build_vocab(corpus.train
+                                                        + corpus.test))
+        tconf = a3c.TrainerConfig(max_frames=200, workers=workers,
+                                  mode="sync" if workers == 1 else "async")
+        params = {}
+        for min_macs in (autodiff.OFFLOAD_MIN_MACS, 0):
+            monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", min_macs)
+            result = a3c.train(tconf, mconf, a3c.EnvSettings(), seed=3)
+            params[min_macs] = [t.data.tobytes() for t in
+                                result.params.tensors()]
+            assert bool(helpers) == (min_macs == 0)
+        assert params[0] == params[autodiff.OFFLOAD_MIN_MACS]
+
+    def test_helper_failure_raised(self, monkeypatch, helpers):
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", 0)
+        rng = np.random.default_rng(0)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        g = Graph()
+        loss = g.sum_all(g.conv2d(Tensor(rng.uniform(-1, 1, (2, 2, 7, 7))), k))
+        raised_on = []
+
+        def failing_im2col(*args):
+            raised_on.append(threading.current_thread())
+            raise RuntimeError("im2col failed")
+
+        monkeypatch.setattr(autodiff, "_im2col", failing_im2col)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="im2col failed"):
+            g.backward(loss)
+        assert threading.enumerate() == before
+        assert raised_on == helpers
+
+    def test_sweep_failure_ends_helper(self, monkeypatch, helpers):
+        # the sweep raises after a job went to the helper
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", 0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(-1, 1, (2, 2, 7, 7)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
+        g = Graph()
+        image = g.scale(x, 2.0)
+        loss = g.sum_all(g.conv2d(image, k))
+
+        def failing(grad):
+            raise RuntimeError("scale failed")
+
+        g.nodes[image.node].backward_fn = failing
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="scale failed"):
+            g.backward(loss)
+        assert threading.enumerate() == before
+        assert len(helpers) == 1 and k.grad is not None
+
+    def test_tape_freed_without_cycle_collector(self, monkeypatch, helpers):
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", 0)
+        k = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = Graph()
+            g.backward(g.sum_all(g.conv2d(Tensor(np.ones((1, 2, 6, 6))), k)))
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert helpers
 
 
 class TestTensorInvariants:
