@@ -13,18 +13,23 @@ their sum; the trainer runs one ``backward`` per rollout, after
 sweep; a closure's array is borrowed, never added into, since ``add`` hands
 one array to both inputs.
 
-Lifetime: a tape lives as long as its ``Graph``, and keeps each node's
-inputs and output plus what its backward reads. conv2d keeps no im2col
-columns (its backward rebuilds them from its input), and ``backward`` frees
-each intermediate gradient once its node has passed it on. A tensor holds
-no reference to its graph, so the tape is acyclic: reference counting frees
-it, with every array its closures keep, as soon as the last reference to the
-``Graph`` is dropped, without the cyclic garbage collector. So a forward
-read only as data (an eval frame, the bootstrap) runs on a ``Graph`` of its
-own, fed leaves ``Tensor(t.data)``. Ownership is checked through the tape
-index: a graph owns an op output ``t`` when ``t.node`` is in range and
-``nodes[t.node].output is t``. Ops reject operands that another graph owns,
-and ``backward`` rejects a loss this graph does not own.
+Lifetime: a node keeps the tape index of each op-output operand, each leaf
+operand itself, a weak reference to its output, and its backward closure,
+which keeps only the arrays or shapes that backward reads. So an op output
+that neither the caller nor a closure reads is freed at once: conv2d's raw
+maps go as soon as ``bias_add_channels``, whose backward reads nothing, has
+added the bias. conv2d keeps no im2col columns (its backward rebuilds them
+from its input), and ``backward`` frees each intermediate gradient once its
+node has passed it on. A tensor holds no reference to its graph, so the
+tape is acyclic: reference counting frees it, with every array its closures
+keep, as soon as the last reference to the ``Graph`` is dropped, without
+the cyclic garbage collector. Closures keep what they read until then, so
+a forward read only as data (an eval frame, the bootstrap) still runs on a
+``Graph`` of its own, fed leaves ``Tensor(t.data)``. Ownership is checked
+through the tape index: a graph owns an op output ``t`` when ``t.node`` is
+in range and ``nodes[t.node].output is t``. Ops reject operands that
+another graph owns, and ``backward`` rejects a loss this graph does not
+own.
 
 Batches: every per-frame operand carries one leading batch axis B, and a
 call is one node for all B rows; one environment is a batch of one.
@@ -54,13 +59,16 @@ Finiteness: a leaf is checked once, when its ``Tensor`` is built, so a
 caller cannot put NaN or Inf on the tape. Op outputs are not checked as
 they are recorded; a caller checks the values it reads with
 ``Graph.check_finite``, which on a failure names the first op on the tape
-that produced a non-finite output.
+whose output is non-finite. It sees only the output tensors that something
+still holds: the caller, or a closure that keeps the tensor itself (relu's).
+Other closures keep arrays, so an output they alone read is not seen.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+import weakref
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -82,7 +90,7 @@ class Tensor:
     op outputs skip that check (see ``Graph.check_finite``).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node")
+    __slots__ = ("data", "grad", "requires_grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is np.ndarray and data.dtype == np.float64:
@@ -113,14 +121,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+class _Node(weakref.ref):
+    # A weak reference to the node's output, so the output lives only while
+    # the caller or a closure reads it; one object per node costs less to
+    # record than a node holding a reference. inputs holds the tape index of
+    # each op-output operand and each leaf itself; requires_grad is the
+    # output's flag, kept for backward.
+    __slots__ = ("op", "inputs", "requires_grad", "backward_fn")
 
-    def __init__(self, op: str, inputs, output, backward_fn):
-        self.op = op
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+    @property
+    def output(self) -> Optional[Tensor]:
+        """The output tensor, or None once nothing holds it."""
+        return self()
 
 
 # Every op kind the engine registers; the gradient-check harness iterates
@@ -158,13 +170,20 @@ class Graph:
     # -- recording machinery -------------------------------------------------
 
     def _owns(self, t: Tensor) -> bool:
-        return 0 <= t.node < len(self.nodes) and self.nodes[t.node].output is t
+        return 0 <= t.node < len(self.nodes) and self.nodes[t.node]() is t
 
     def _record(self, op: str, inputs, out_data: np.ndarray,
                 backward_fn: Callable) -> Tensor:
+        nodes = self.nodes
         requires_grad = False
+        held = []
         for t in inputs:
-            if t.node >= 0 and not self._owns(t):
+            i = t.node
+            if i < 0:
+                held.append(t)
+            elif i < len(nodes) and nodes[i]() is t:  # _owns, inlined for speed
+                held.append(i)
+            else:
                 raise ValueError("tensor belongs to a different graph")
             requires_grad = requires_grad or t.requires_grad
         # every op computes a float64 array from float64 operands; its
@@ -173,17 +192,24 @@ class Graph:
         out.data = out_data
         out.grad = None
         out.requires_grad = requires_grad
-        out.node = len(self.nodes)
-        self.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
+        out.node = len(nodes)
+        node = _Node(out)
+        node.op = op
+        node.inputs = tuple(held)
+        node.requires_grad = requires_grad
+        node.backward_fn = backward_fn
+        nodes.append(node)
         return out
 
     def check_finite(self, t: Tensor) -> None:
         """Return if ``t`` is finite; otherwise raise FloatingPointError
-        naming the first node on the tape whose output is non-finite."""
+        naming the first node on the tape whose output is non-finite, among
+        the outputs still held (see Finiteness in the module docstring)."""
         if np.isfinite(t.data).all():
             return
         for i, node in enumerate(self.nodes):
-            if not np.isfinite(node.output.data).all():
+            out = node()
+            if out is not None and not np.isfinite(out.data).all():
                 raise FloatingPointError(
                     f"non-finite output of {node.op} at tape index {i}")
         raise FloatingPointError("non-finite values in a leaf tensor")
@@ -211,16 +237,19 @@ class Graph:
     def relu(self, a: Tensor) -> Tensor:
         out = np.maximum(a.data, 0.0)
 
+        # holds the input tensor, not only its array, so check_finite still
+        # sees it: a relu follows the trunk matvec, whose overflow it names
         def bwd(g):
             return (g * (a.data > 0.0),)
 
         return self._record("relu", (a,), out, bwd)
 
     def log(self, a: Tensor) -> Tensor:
-        out = np.log(a.data)
+        x = a.data
+        out = np.log(x)
 
         def bwd(g):
-            return (g / a.data,)
+            return (g / x,)
 
         return self._record("log", (a,), out, bwd)
 
@@ -237,10 +266,11 @@ class Graph:
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ValueError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-        out = a.data * b.data
+        x, y = a.data, b.data
+        out = x * y
 
         def bwd(g):
-            return (g * b.data, g * a.data)
+            return (g * y, g * x)
 
         return self._record("mul", (a, b), out, bwd)
 
@@ -274,12 +304,13 @@ class Graph:
             raise ValueError(f"matvec: {w.data.shape} x {v.data.shape}")
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(f"matvec: bias {b.data.shape} for {w.data.shape}")
-        out = v.data @ w.data.T
+        wd, vd = w.data, v.data
+        out = vd @ wd.T
         out += b.data
 
         def bwd(g):
             # np.dot: matmul's (rows, 1) @ (1, n) is about 5x slower at B = 1
-            return (np.dot(g.T, v.data), g @ w.data, g.sum(axis=0))
+            return (np.dot(g.T, vd), g @ wd, g.sum(axis=0))
 
         return self._record("matvec", (w, v, b), out, bwd)
 
@@ -318,11 +349,11 @@ class Graph:
             raise ValueError(
                 f"lstm_cell: input {hx.data.shape}, cell {c_prev.data.shape}, "
                 f"forget weight {wf.data.shape}, gate weight {w.data.shape}")
-        v = hx.data
+        v, cp, wfd, wd = hx.data, c_prev.data, wf.data, w.data
         vf = v[:, :nf]
-        zf = vf @ wf.data.T
+        zf = vf @ wfd.T
         zf += bf.data
-        z = v @ w.data.T
+        z = v @ wd.T
         z += b.data
         with np.errstate(over="ignore"):  # as in sigmoid
             f = 1.0 / (1.0 + np.exp(-zf))
@@ -331,21 +362,22 @@ class Graph:
         cbar = np.tanh(z[:, d:2 * d])
         out = np.empty((len(v), 2, d))
         h, c = out[:, 0], out[:, 1]
-        np.multiply(f, c_prev.data, out=c)
+        np.multiply(f, cp, out=c)
         c += i * cbar
         tc = np.tanh(c)
         np.multiply(o, tc, out=h)
+        z_shape = z.shape
 
         def bwd(g):
             gh = g[:, 0]
             gc = g[:, 1] + gh * o * (1.0 - tc * tc)
-            dz = np.empty_like(z)
+            dz = np.empty(z_shape)
             dz[:, :d] = gc * cbar * i * (1.0 - i)
             dz[:, d:2 * d] = gc * i * (1.0 - cbar * cbar)
             dz[:, 2 * d:] = gh * tc * o * (1.0 - o)
-            dzf = gc * c_prev.data * f * (1.0 - f)
-            ghx = dz @ w.data
-            ghx[:, :nf] += dzf @ wf.data
+            dzf = gc * cp * f * (1.0 - f)
+            ghx = dz @ wd
+            ghx[:, :nf] += dzf @ wfd
             return (ghx, gc * f, np.dot(dzf.T, vf), dzf.sum(axis=0),
                     np.dot(dz.T, v), dz.sum(axis=0))
 
@@ -394,29 +426,30 @@ class Graph:
             raise ValueError(f"conv2d: kernel {k} larger than input {h}x{w}")
         ho = (h - k) // stride + 1
         wo = (w - k) // stride + 1
+        xd = x.data
         k2 = kernels.data.reshape(c_out, c_in * k * k)
-        out = (k2 @ _im2col(x.data, k, stride)).reshape(
+        out = (k2 @ _im2col(xd, k, stride)).reshape(
             c_out, batch, ho, wo).transpose(1, 0, 2, 3)
-        in_shape = x.data.shape
         need_gx = x.requires_grad  # skipping the fold for constant images
+        leaf = kernels.node < 0
         macs = k2.size * batch * ho * wo  # of the kernel gradient's product
 
         def bwd(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
 
             def kernel_grad():
-                return (g2 @ _im2col(x.data, k, stride).T).reshape(
+                return (g2 @ _im2col(xd, k, stride).T).reshape(
                     c_out, c_in, k, k)
 
             gk = kernel_grad  # a leaf's large product: backward's helper
-            if kernels.node >= 0 or macs < OFFLOAD_MIN_MACS:
+            if not leaf or macs < OFFLOAD_MIN_MACS:
                 gk = kernel_grad()
             gx = None
             if need_gx:
                 gcols = k2.T @ g2
-                gx = np.bincount(_fold_index(in_shape, k, stride),
+                gx = np.bincount(_fold_index(xd.shape, k, stride),
                                  weights=gcols.reshape(-1),
-                                 minlength=x.data.size).reshape(in_shape)
+                                 minlength=xd.size).reshape(xd.shape)
             return (gx, gk)
 
         return self._record("conv2d", (x, kernels), out, bwd)
@@ -442,7 +475,7 @@ class Graph:
         def bwd(g):
             gflat = g.reshape(batch, fh * fw)
             gf = (a[:, :, None] * gflat[:, None, :]).reshape(
-                features.data.shape)
+                batch, d, fh, fw)
             ga = (f2 @ gflat[:, :, None])[:, :, 0]
             return (gf, ga)
 
@@ -467,10 +500,11 @@ class Graph:
         if (x.data.ndim != 4 or a.data.ndim != 2
                 or a.data.shape != x.data.shape[:2]):
             raise ValueError(f"mul_channels: {x.data.shape} vs {a.data.shape}")
-        out = x.data * a.data[:, :, None, None]
+        xd, ad = x.data, a.data[:, :, None, None]
+        out = xd * ad
 
         def bwd(g):
-            return (g * a.data[:, :, None, None], (g * x.data).sum(axis=(2, 3)))
+            return (g * ad, (g * xd).sum(axis=(2, 3)))
 
         return self._record("mul_channels", (x, a), out, bwd)
 
@@ -553,9 +587,10 @@ class Graph:
                              "and a sequence of indices")
         _, rows = _each_row(index, (len(index), m.data.shape[0]), "row")
         out = m.data[rows]
+        m_shape = m.data.shape
 
         def bwd(g):
-            gm = np.zeros(m.data.shape)
+            gm = np.zeros(m_shape)
             np.add.at(gm, rows, g)  # a repeated row sums its gradients in order
             return (gm,)
 
@@ -566,9 +601,10 @@ class Graph:
         along axis 1 of each row of the batch ``a``."""
         entries = _each_row(index, a.data.shape[:2], op)
         out = a.data[entries]
+        a_shape = a.data.shape
 
         def bwd(g):
-            ga = np.zeros(a.data.shape)
+            ga = np.zeros(a_shape)
             ga[entries] = g
             return (ga,)
 
@@ -589,7 +625,8 @@ class Graph:
             raise ValueError("loss was not produced on this graph")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
-        scratch: list[Optional[np.ndarray]] = [None] * len(self.nodes)
+        nodes = self.nodes
+        scratch: list[Optional[np.ndarray]] = [None] * len(nodes)
         scratch[loss.node] = np.ones_like(loss.data)
         helper = None
         offloaded = set()  # the leaves whose every later sum the helper makes
@@ -598,17 +635,19 @@ class Graph:
                 g = scratch[i]
                 if g is None:
                     continue
-                node = self.nodes[i]
-                if not node.output.requires_grad:
+                node = nodes[i]
+                if not node.requires_grad:
                     continue
                 grads = node.backward_fn(g)
                 scratch[i] = None  # passed on below; a later sweep recomputes it
                 for t, gt in zip(node.inputs, grads):
-                    if gt is None or not t.requires_grad:
+                    if gt is None:
                         continue
-                    if t.node >= 0:
-                        j = t.node
-                        scratch[j] = gt if scratch[j] is None else scratch[j] + gt
+                    if t.__class__ is int:  # an op output's tape index
+                        if nodes[t].requires_grad:
+                            scratch[t] = gt if scratch[t] is None else scratch[t] + gt
+                    elif not t.requires_grad:
+                        continue
                     elif t in offloaded or callable(gt):
                         if helper is None:
                             helper = _Helper()

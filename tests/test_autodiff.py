@@ -485,6 +485,67 @@ class TestBackward:
             build(Graph(), foreign)
 
 
+def _conv_bias_relu(seed, kept=None):
+    """(graph, leaves x k b, weak references to the conv2d and bias-add
+    outputs and to the conv2d output's array, y) of
+    ``relu(bias_add_channels(conv2d(x, k), b))``. The caller keeps no
+    reference to the first two outputs unless ``kept`` is a list, which
+    gets every output."""
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((2, 2, 7, 7), (3, 2, 3, 3), (3,))]
+    x, k, b = leaves
+    g = Graph()
+    conv = g.conv2d(x, k, stride=2)
+    biased = g.bias_add_channels(conv, b)
+    y = g.relu(biased)
+    refs = [weakref.ref(conv), weakref.ref(biased), weakref.ref(conv.data)]
+    if kept is not None:
+        kept += [conv, biased, y]
+    del conv, biased
+    return g, leaves, refs, y
+
+
+class TestTapeLifetime:
+    """A node keeps each op-output operand as its tape index, each leaf
+    itself and its output weakly, and each closure only what its backward
+    reads: an op output lives while the caller or a backward reads it."""
+
+    def test_output_nothing_reads_is_freed(self):
+        # by reference counting alone, with the cycle collector off
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g, leaves, (conv, biased, conv_data), y = _conv_bias_relu(0)
+            leaf_refs = [weakref.ref(t) for t in leaves[:2]]
+            del leaves
+            # bias_add_channels' backward reads nothing
+            assert conv() is None and conv_data() is None
+            assert g.nodes[0].output is None
+            # relu's backward reads its input; the tape holds its leaves
+            assert biased() is not None and g.nodes[1].output is biased()
+            assert all(ref() is not None for ref in leaf_refs)
+            assert g.nodes[0].inputs == tuple(ref() for ref in leaf_refs)
+            assert g.nodes[1].inputs[0] == 0 and g.nodes[2].inputs == (1,)
+            g.backward(g.sum_all(y))
+            tape = weakref.ref(g)
+            del g, y
+            assert tape() is None and biased() is None
+            assert all(ref() is None for ref in leaf_refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_gradients_equal_a_tape_whose_outputs_are_kept(self):
+        grads = []
+        for kept in (None, []):
+            g, leaves, refs, y = _conv_bias_relu(2, kept)
+            assert (refs[0]() is None) == (kept is None)
+            g.backward(g.sum_all(y))
+            grads.append([t.grad.tobytes() for t in leaves])
+        assert grads[0] == grads[1]
+
+
 def _two_frames(rng):
     """Two frames of a batch of 2 through two conv layers that share their
     kernels, the first frame's image a leaf too; returns the leaves."""
@@ -628,6 +689,19 @@ class TestTensorInvariants:
         with pytest.raises(FloatingPointError,
                            match=r"non-finite output of log at tape index 2"):
             g.check_finite(d)
+
+    def test_check_finite_scans_held_outputs_only(self):
+        # a node holds its output weakly: the overflowing scale output, read
+        # by nothing but a shift whose backward reads nothing, is gone, so
+        # the first non-finite output still held is the shift's
+        big = np.finfo(np.float64).max
+        g = Graph()
+        with np.errstate(over="ignore"):
+            out = g.shift(g.scale(Tensor([big, 1.0]), 2.0), 1.0)
+        assert g.nodes[0].output is None
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite output of shift at tape index 1"):
+            g.check_finite(out)
 
     def test_grad_shape_matches(self):
         g = Graph()
