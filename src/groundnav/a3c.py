@@ -448,8 +448,8 @@ def train(tconf: TrainerConfig, mconf: ModelConfig, env: EnvSettings,
     plus the trained parameters. The ``tconf.workers`` environments step in
     lockstep as one batch on the calling thread, and each rollout applies
     one update of the gradient summed over its environments and steps.
-    (Each ``Graph.backward`` may compute large conv2d kernel gradients on
-    a helper thread, which it ends before it returns.)
+    (A ``Graph`` may form large conv2d products on a helper thread of its
+    own, which is joined when the graph is freed, before this returns.)
     ``checkpoint_cb`` runs on the calling thread too; an exception in it or
     in a step ends the run and propagates from here. ``checkpoint_cb`` gets
     the live parameters, the same object the result holds; they are valid

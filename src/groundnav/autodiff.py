@@ -42,18 +42,19 @@ ops and reshape take any shape, ``sum_all`` sums every entry of every row
 into one scalar, and the ``scale``/``shift`` constant and the
 ``pick``/``row`` index are one value for every row or one per row.
 
-Threads: ``backward`` runs on the calling thread, apart from conv2d's large
-kernel gradients. When the kernels are a leaf and the product that forms
-their gradient has at least ``OFFLOAD_MIN_MACS`` multiply-adds, conv2d's
-backward returns that gradient as a callable, and ``backward`` runs it on
-one helper thread, started at the first such callable. No later node of the
-sweep reads a leaf gradient, so the calling thread goes on with the sweep
-meanwhile. From a leaf's first callable on, every contribution to that leaf
-goes to the helper, which adds them in the order the sweep made them; so
-each ``.grad`` is the same sum in the same order as on one thread, each
-product is formed whole on one thread, and the result is bit-identical.
-``backward`` waits for every job and ends the helper before it returns or
-raises, re-raising the helper's first failure: no thread outlives the call.
+Threads: a Graph has at most one helper thread. The first product of at
+least ``OFFLOAD_MIN_MACS`` multiply-adds starts it, and it is joined when
+the Graph is freed; no job refers to the Graph, so the tape stays acyclic
+and that happens on the thread that drops the last reference. conv2d's
+forward splits such a product by output rows between the helper and the
+calling thread (see ``_split_row``). Its backward returns such a kernel
+gradient of a leaf as a callable, which ``backward`` runs on the helper
+while it goes on with the sweep, since no later node reads a leaf gradient.
+From a leaf's first callable on, every contribution to that leaf goes to
+the helper, which adds them in the order the sweep made them; so each
+``.grad`` is the same sum in the same order as on one thread, and
+bit-identical. conv2d and ``backward`` wait for their jobs before they
+return or raise, and re-raise the helper's first failure.
 
 Finiteness: a leaf is checked once, when its ``Tensor`` is built, so a
 caller cannot put NaN or Inf on the tape. Op outputs are not checked as
@@ -74,12 +75,26 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# conv2d computes a kernel gradient of at least this many multiply-adds on
-# the backward's helper thread. Measured on desk-scale lockstep training:
-# offloading conv1's 1.18M product (B = 16) gained nothing, most likely as
-# the helper waits for the interpreter lock while the sweep runs small ops,
-# and its 2.36M product (B = 32) gained about 4% frames/s.
+# conv2d forms a product of at least this many multiply-adds partly (a
+# forward) or wholly (a leaf's kernel gradient) on the Graph's helper
+# thread. Measured on desk-scale lockstep training: offloading conv1's 1.18M
+# kernel gradient (B = 16) gained nothing, most likely as the helper waits
+# for the interpreter lock while the sweep runs small ops, and its 2.36M
+# product (B = 32) gained about 4% frames/s.
 OFFLOAD_MIN_MACS = 2_000_000
+
+# The most jobs a helper holds at once: one frame's conv layers' worth. A
+# pending kernel-gradient job keeps its column gradient (0.72 MB per paper
+# frame for conv1), so the sweep waits rather than let a lagging helper's
+# backlog grow with the rollout.
+MAX_PENDING_JOBS = 3
+
+# conv2d splits a forward product only after a multiple of this many
+# columns of each image. With OpenBLAS 0.3.31's SkylakeX kernels such a
+# split gives every column the whole product's bytes; with BLAS on one
+# thread, a split at conv1's or conv2's middle row (column 1406 or 324 at
+# paper scale) does not.
+_SPLIT_COLUMNS = 8
 
 
 class Tensor:
@@ -166,6 +181,14 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._helper: Optional[_Helper] = None
+
+    def _use_helper(self) -> _Helper:
+        """This graph's helper, started at the first call."""
+        if self._helper is None:
+            self._helper = _Helper()
+            weakref.finalize(self, self._helper.close)
+        return self._helper
 
     # -- recording machinery -------------------------------------------------
 
@@ -396,20 +419,23 @@ class Graph:
         im2col lays the patches out as columns, ``cols`` of shape
         (c_in*k*k, B*ho*wo), rows in (channel, kernel row, kernel column)
         order and columns in (image, output row, output column) order, so
-        the forward is the single product
-        ``kernels.reshape(c_out, c_in*k*k) @ cols``. The output is a
-        transposed view of that (c_out, B, ho, wo) product. The backward
-        rebuilds ``cols`` from ``x`` for the kernel gradient, one product
-        ``g2 @ cols.T``; when the kernels are a leaf and that product has at
-        least ``OFFLOAD_MIN_MACS`` multiply-adds, it returns the gradient as
-        a callable that ``backward`` runs on its helper thread (see Threads
-        in the module docstring). It folds the column gradient back onto
-        the images with one ``np.bincount`` over ``_fold_index``, the flat
-        input position of every column entry.
-        That index runs in the columns' row order, so bincount adds each
-        input element's contributions from 0.0 in ascending (kernel row,
-        kernel column) order, as k*k strided slab adds onto a zeroed image
-        would: the result is bit-identical to that loop.
+        the forward is the product ``kernels.reshape(c_out, c_in*k*k) @
+        cols``. The output is a transposed view of that (c_out, B, ho, wo)
+        product. One of at least ``OFFLOAD_MIN_MACS`` multiply-adds is
+        formed by output rows: the graph's helper thread forms rows [m, ho)
+        of every image while the calling thread forms rows [0, m), each into
+        its rows of the one array, with the whole product's bytes; it stays
+        whole if no row m qualifies (``_split_row``). The backward rebuilds
+        ``cols`` from ``x`` for the kernel gradient, one product ``g2 @
+        cols.T``; when the kernels are a leaf and that product reaches the
+        constant, it returns the gradient as a callable that ``backward``
+        runs on the helper. It folds the column gradient back onto the
+        images with one ``np.bincount`` over ``_fold_index``, the flat input
+        position of every column entry. That index runs in the columns' row
+        order, so bincount adds each input element's contributions from 0.0
+        in ascending (kernel row, kernel column) order, as k*k strided slab
+        adds onto a zeroed image would: the result is bit-identical to that
+        loop.
         """
         if x.data.ndim != 4 or kernels.data.ndim != 4:
             raise ValueError("conv2d expects (B,c,H,W) input and (o,c,k,k) "
@@ -428,11 +454,21 @@ class Graph:
         wo = (w - k) // stride + 1
         xd = x.data
         k2 = kernels.data.reshape(c_out, c_in * k * k)
-        out = (k2 @ _im2col(xd, k, stride)).reshape(
-            c_out, batch, ho, wo).transpose(1, 0, 2, 3)
+        macs = k2.size * batch * ho * wo  # of the forward and kernel products
+        m = _split_row(ho, wo) if macs >= OFFLOAD_MIN_MACS else 0
+        if m:
+            out = np.empty((c_out, batch, ho, wo))
+            helper = self._use_helper()
+            helper.put(_conv_rows, k2, xd, k, stride, out, slice(m, None))
+            try:
+                _conv_rows(k2, xd, k, stride, out, slice(None, m))
+            finally:
+                helper.wait()
+        else:
+            out = (k2 @ _im2col(xd, k, stride)).reshape(c_out, batch, ho, wo)
+        out = out.transpose(1, 0, 2, 3)
         need_gx = x.requires_grad  # skipping the fold for constant images
         leaf = kernels.node < 0
-        macs = k2.size * batch * ho * wo  # of the kernel gradient's product
 
         def bwd(g):
             g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
@@ -618,8 +654,10 @@ class Graph:
         Repeated calls accumulate. Intermediate gradients are recomputed
         each call, so two sweeps exactly double the leaf gradients. A
         closure's array is borrowed: a later gradient makes a new sum. A
-        closure may return a leaf's gradient as a callable; the helper
-        thread computes and adds it (see Threads in the module docstring).
+        closure may return a leaf's gradient as a callable; the graph's
+        helper thread computes and adds it, and ``backward`` waits for it
+        before it returns or raises, re-raising the helper's first failure
+        (see Threads in the module docstring).
         """
         if not self._owns(loss):
             raise ValueError("loss was not produced on this graph")
@@ -628,7 +666,6 @@ class Graph:
         nodes = self.nodes
         scratch: list[Optional[np.ndarray]] = [None] * len(nodes)
         scratch[loss.node] = np.ones_like(loss.data)
-        helper = None
         offloaded = set()  # the leaves whose every later sum the helper makes
         try:
             for i in range(loss.node, -1, -1):
@@ -649,17 +686,13 @@ class Graph:
                     elif not t.requires_grad:
                         continue
                     elif t in offloaded or callable(gt):
-                        if helper is None:
-                            helper = _Helper()
+                        self._use_helper().put(_accumulate, t, gt)
                         offloaded.add(t)
-                        helper.jobs.put((t, gt))
                     else:
                         _accumulate(t, gt)
         finally:
-            if helper is not None:
-                helper.close()
-        if helper is not None and helper.error is not None:
-            raise helper.error
+            if offloaded:
+                self._helper.wait()
 
 
 def _accumulate(t: Tensor, gt) -> None:
@@ -673,29 +706,59 @@ def _accumulate(t: Tensor, gt) -> None:
 
 
 class _Helper:
-    """The thread that makes ``backward``'s offloaded leaf sums, one job
-    ``(leaf, gradient)`` at a time in the order they are put. After its
-    first failure it skips the remaining jobs and keeps the exception."""
+    """A Graph's helper thread. It runs the jobs ``put`` to it one at a
+    time, in order; after a failure it skips the jobs until the next
+    ``wait``, which raises that failure."""
 
     def __init__(self):
         self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.replies: queue.SimpleQueue = queue.SimpleQueue()
+        self.slots = threading.BoundedSemaphore(MAX_PENDING_JOBS)
         self.error: Optional[BaseException] = None
-        self.thread = threading.Thread(target=self._run,
-                                       name="autodiff-backward-helper")
+        # a daemon, so a Graph still alive at exit does not hold the
+        # interpreter; the finalizer joins the thread then
+        self.thread = threading.Thread(target=self._run, daemon=True,
+                                       name="autodiff-helper")
         self.thread.start()
 
     def _run(self) -> None:
         while (job := self.jobs.get()) is not None:
-            if self.error is None:
-                try:
-                    _accumulate(*job)
-                except BaseException as exc:
-                    self.error = exc
+            fn, args = job
+            if fn is None:  # a wait's barrier
+                self.replies.put(self.error)
+                self.error = None
+                continue
+            try:
+                if self.error is None:
+                    fn(*args)
+            except BaseException as exc:
+                self.error = exc
+            finally:
+                self.slots.release()
+
+    def put(self, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` on the thread, once fewer than
+        ``MAX_PENDING_JOBS`` jobs are pending."""
+        self.slots.acquire()
+        self.jobs.put((fn, args))
+
+    def wait(self) -> None:
+        """Wait for every job put so far; raise the first failure since the
+        last wait, if any."""
+        self.jobs.put((None, ()))
+        error = self.replies.get()
+        if error is not None:
+            try:
+                raise error
+            finally:
+                del error  # else a cycle through the traceback's frames
 
     def close(self) -> None:
-        """Wait for every job, then end the thread."""
+        """End the thread after its jobs; join it unless called on it (by
+        the cycle collector freeing the Graph there)."""
         self.jobs.put(None)
-        self.thread.join()
+        if threading.current_thread() is not self.thread:
+            self.thread.join()
 
 
 def _per_row(value, a: Tensor, op: str):
@@ -729,11 +792,31 @@ def _each_row(index, shape: tuple[int, int], op: str) -> tuple:
     return (np.arange(rows), idx)
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """conv2d's column matrix (c*k*k, B*ho*wo): one copy of the patch
-    view, the operand of the forward GEMM and of the kernel gradient."""
-    return np.ascontiguousarray(_conv_patches(x, k, stride)).reshape(
-        x.shape[1] * k * k, -1)
+def _im2col(x: np.ndarray, k: int, stride: int,
+            rows: slice = slice(None)) -> np.ndarray:
+    """conv2d's column matrix (c*k*k, B*ho*wo), or its columns of output
+    rows ``rows`` of every image: one copy of the patch view, the operand of
+    the forward GEMM and of the kernel gradient."""
+    return np.ascontiguousarray(_conv_patches(x, k, stride)[..., rows, :]
+                                ).reshape(x.shape[1] * k * k, -1)
+
+
+def _conv_rows(k2: np.ndarray, x: np.ndarray, k: int, stride: int,
+               out: np.ndarray, rows: slice) -> None:
+    """Write output rows ``rows`` of every image into conv2d's (c_out, B,
+    ho, wo) product ``out``: one product of k2 with those rows' columns."""
+    c_out, batch, _, wo = out.shape
+    out[:, :, rows] = (k2 @ _im2col(x, k, stride, rows)).reshape(
+        c_out, batch, -1, wo)
+
+
+@lru_cache(maxsize=16)
+def _split_row(ho: int, wo: int) -> int:
+    """The output row m nearest ho / 2 at which conv2d splits a forward
+    product: rows [0, m) of an image are m * wo columns, a multiple of
+    ``_SPLIT_COLUMNS``. 0 if no row 0 < m < ho qualifies."""
+    rows = [m for m in range(1, ho) if m * wo % _SPLIT_COLUMNS == 0]
+    return min(rows, key=lambda m: abs(2 * m - ho), default=0)
 
 
 def _conv_patches(x: np.ndarray, k: int, stride: int) -> np.ndarray:

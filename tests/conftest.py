@@ -46,7 +46,7 @@ def traced_peak():
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """The thread of every backward helper started during the test."""
+    """The thread of every graph helper started during the test."""
     started = []
 
     class Spy(autodiff._Helper):

@@ -382,8 +382,8 @@ class TestTrainLoop:
         assert peak < 100 * 2**20
 
     def test_paper_run_leaves_no_thread(self, tiny_model, helpers):
-        # every paper-scale backward hands its kernel gradients to a helper
-        # thread, and ends it before it returns
+        # every paper-scale graph forms its large conv2d products with a
+        # helper thread, joined when the graph is freed, before train returns
         corpus, _ = tiny_model
         mconf = nets.paper_config(nets.build_vocab(corpus.train + corpus.test))
         before = threading.enumerate()
@@ -788,6 +788,17 @@ class TestPlayEpisode:
         res = play_episode(params, mconf, corpus.train[1], 7, "easy")
         assert 1 <= res.steps <= gridnav.MAX_STEPS
         assert res.trace[-1]["done"]
+
+    def test_paper_episode_leaves_no_thread(self, tiny_model, helpers):
+        # each paper-scale frame splits its conv forwards with the helper of
+        # the frame's own graph, which is joined when that graph is freed
+        corpus, _ = tiny_model
+        mconf = nets.paper_config(nets.build_vocab(corpus.train + corpus.test))
+        params = nets.init_params(mconf, 3)
+        before = threading.enumerate()
+        res = play_episode(params, mconf, corpus.train[0], 11, "easy")
+        assert len(helpers) == res.steps
+        assert threading.enumerate() == before
 
     def test_capture_collects_frames_and_maps(self, tiny_model):
         corpus, mconf = tiny_model

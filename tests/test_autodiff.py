@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import threading
 import weakref
 
@@ -577,9 +578,9 @@ def _eager_first(rng):
 
 
 class TestKernelGradientHelper:
-    """conv2d's kernel gradients on backward's helper thread: every
-    ``OFFLOAD_MIN_MACS`` gives the same bytes, and no thread outlives
-    ``backward``."""
+    """conv2d's kernel gradients on the graph's helper thread: every
+    ``OFFLOAD_MIN_MACS`` gives the same bytes, and no thread outlives its
+    ``Graph``."""
 
     @pytest.mark.parametrize("build", [_two_frames, _eager_first])
     def test_offload_is_bit_identical(self, monkeypatch, helpers, build):
@@ -623,6 +624,7 @@ class TestKernelGradientHelper:
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="im2col failed"):
             g.backward(loss)
+        del g
         assert threading.enumerate() == before
         assert raised_on == helpers
 
@@ -643,6 +645,7 @@ class TestKernelGradientHelper:
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="scale failed"):
             g.backward(loss)
+        del g
         assert threading.enumerate() == before
         assert len(helpers) == 1 and k.grad is not None
 
@@ -661,6 +664,186 @@ class TestKernelGradientHelper:
             if enabled:
                 gc.enable()
         assert helpers
+
+
+# (image shape, kernel shape, stride) of the paper-scale conv layers
+PAPER_CONVS = {
+    "conv1": ((3, 156, 300), (32, 3, 8, 8), 4),
+    "conv2": ((32, 38, 74), (64, 32, 4, 4), 2),
+    "conv3": ((64, 18, 36), (64, 64, 4, 4), 2),
+}
+
+
+def _conv_run(rng, layers, batch, frames=1):
+    """``frames`` frames of a batch through conv layers of (image shape,
+    kernel shape, stride), chained, image and kernels leaves; returns the
+    bytes of every conv2d output and then of every leaf gradient."""
+    kernels = [Tensor(rng.uniform(-1, 1, k) / np.prod(k[1:]) ** 0.5,
+                      requires_grad=True) for _, k, _ in layers]
+    images = [Tensor(rng.uniform(-1, 1, (batch,) + layers[0][0]),
+                     requires_grad=True) for _ in range(frames)]
+    g = Graph()
+    outs, loss = [], None
+    for x in images:
+        for kern, (_, _, stride) in zip(kernels, layers):
+            x = g.conv2d(x, kern, stride)
+            outs.append(x.data.tobytes())
+            x = g.relu(x)
+        term = g.sum_all(g.mul(x, x))
+        loss = term if loss is None else g.add(loss, term)
+    g.backward(loss)
+    return outs + [t.grad.tobytes() for t in kernels + images]
+
+
+class TestSplitForward:
+    """conv2d's large forward products split by output rows between the
+    calling thread and the graph's helper: the same bytes, one helper per
+    graph, and no thread left once the graph is freed."""
+
+    def test_split_row(self):
+        # the row nearest the middle whose rows above it are a multiple of
+        # 8 columns; conv3 at paper scale has none and stays whole
+        assert autodiff._split_row(38, 74) == 20
+        assert autodiff._split_row(18, 36) in (8, 10)
+        assert autodiff._split_row(8, 17) == 0
+        assert autodiff._split_row(12, 16) == 6
+
+    @pytest.mark.parametrize("layer, batch", [
+        ("conv1", 1), ("conv1", 2), ("conv2", 1), ("conv2", 2), ("conv3", 1)])
+    def test_split_is_bit_identical(self, monkeypatch, helpers, layer, batch):
+        runs = {}
+        for min_macs in (math.inf, 0):
+            monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", min_macs)
+            runs[min_macs] = _conv_run(np.random.default_rng(batch),
+                                       [PAPER_CONVS[layer]], batch)
+            assert len(helpers) == int(min_macs == 0)
+        assert runs[0] == runs[math.inf]
+
+    def test_one_helper_per_graph(self, helpers):
+        # paper conv2 reaches the constant: its forward splits and its
+        # backward offloads the kernel gradient, on one helper
+        shape, kshape, stride = PAPER_CONVS["conv2"]
+        rng = np.random.default_rng(0)
+        k = Tensor(rng.uniform(-1, 1, kshape), requires_grad=True)
+        before = threading.enumerate()
+        g = Graph()
+        out = g.conv2d(Tensor(rng.uniform(-1, 1, (1,) + shape)), k, stride)
+        assert len(helpers) == 1 and helpers[0].is_alive()
+        g.backward(g.sum_all(out))
+        assert len(helpers) == 1 and helpers[0].is_alive()
+        del g
+        assert threading.enumerate() == before
+
+    def test_helper_failure_raised(self, monkeypatch, helpers):
+        # the helper's half fails; conv2d finishes its own half, then
+        # raises the helper's error and records nothing
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", 0)
+        caller = threading.current_thread()
+        im2col = autodiff._im2col
+        done_on_caller = []
+
+        def im2col_failing_on_helper(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper half failed")
+            cols = im2col(*args)
+            done_on_caller.append(cols.shape)
+            return cols
+
+        monkeypatch.setattr(autodiff, "_im2col", im2col_failing_on_helper)
+        before = threading.enumerate()
+        g = Graph()
+        with pytest.raises(RuntimeError, match="helper half failed"):
+            g.conv2d(Tensor(np.ones((2, 3, 48, 64))),
+                     Tensor(np.ones((8, 3, 4, 4))), 4)
+        assert done_on_caller == [(48, 2 * 6 * 16)] and g.nodes == []
+        assert len(helpers) == 1
+        del g
+        assert threading.enumerate() == before
+
+    def test_many_graphs_under_fast_switching(self, monkeypatch, helpers):
+        # 20 graphs in a row, each with split forwards and more offloaded
+        # kernel gradients than the helper holds at once, the interpreter
+        # switching threads as often as it can; run on a thread of its own,
+        # so a deadlock fails the test instead of hanging it
+        layers = [((3, 48, 64), (8, 3, 4, 4), 4),
+                  ((8, 12, 16), (12, 8, 3, 3), 1)]
+
+        def graphs():
+            rng = np.random.default_rng(5)
+            return [_conv_run(rng, layers, 2, frames=3) for _ in range(20)]
+
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", math.inf)
+        want = graphs()
+        assert not helpers
+        monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", 0)
+        before = threading.enumerate()
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.extend(graphs()),
+                                      daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert len(helpers) == 20
+        assert threading.enumerate() == before
+
+    def test_graph_collected_on_its_own_helper(self):
+        # a graph in a reference cycle is freed by the cycle collector, on
+        # whichever thread it runs: here its own helper's, which ends
+        # without joining itself
+        g = Graph()
+        g.cycle = g
+        helper = g._use_helper()
+        gate = threading.Event()
+        helper.put(lambda: (gate.wait(), gc.collect()))
+        del g
+        gate.set()
+        helper.thread.join(timeout=10)
+        assert not helper.thread.is_alive()
+
+    def test_backlog_is_bounded(self):
+        # a put waits while MAX_PENDING_JOBS jobs are pending; jobs skipped
+        # after a failure free their place too
+        helper = autodiff._Helper()
+        gate = threading.Event()
+        ran = []
+
+        def fail():
+            raise RuntimeError("job failed")
+
+        try:
+            for _ in range(autodiff.MAX_PENDING_JOBS):
+                helper.put(gate.wait)
+            putter = threading.Thread(target=helper.put, args=(ran.append, 1),
+                                      daemon=True)
+            putter.start()
+            putter.join(timeout=0.2)
+            assert putter.is_alive() and ran == []
+            gate.set()
+            putter.join(timeout=10)
+            assert not putter.is_alive()
+            helper.wait()
+            assert ran == [1]
+            helper.put(fail)
+            putter = threading.Thread(target=lambda: [
+                helper.put(ran.append, 2)
+                for _ in range(3 * autodiff.MAX_PENDING_JOBS)], daemon=True)
+            putter.start()
+            putter.join(timeout=10)
+            assert not putter.is_alive()
+            with pytest.raises(RuntimeError, match="job failed"):
+                helper.wait()
+            assert ran == [1]
+            helper.wait()  # the failure is raised once
+        finally:
+            gate.set()
+            helper.close()
+        assert not helper.thread.is_alive()
 
 
 class TestTensorInvariants:

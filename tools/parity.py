@@ -1,13 +1,15 @@
-"""Print the sha256 of every trained parameter byte after eight seeded runs,
+"""Print the sha256 of every trained parameter byte after nine seeded runs,
 then the sha256 of greedy episodes played with each run's parameters.
 
     PYTHONPATH=src python tools/parity.py
 
 Each run is ``a3c.train`` with seed 3 on the default corpus (seed 7); the
 digest covers every parameter tensor in declaration order. The first four
-runs play one worker in easy mode; the last four step 2 or 3 workers in
-lockstep for 400 frames, in easy and in hard mode. A change meant to keep
-training bit for bit prints the same eight lines before and after. The
+runs play one worker in easy mode; the next four step 2 or 3 workers in
+lockstep for 400 frames, in easy and in hard mode; the last steps 2
+workers in lockstep at ``paper_config``, a batch whose conv2d products
+reach ``autodiff.OFFLOAD_MIN_MACS``. A change meant to keep training bit
+for bit prints the same nine lines before and after. The
 digests depend on the BLAS build, so compare them on one machine rather
 than pinning them.
 
@@ -15,7 +17,7 @@ Each line ends with the run's peak of traced memory (``tracemalloc``, in
 MiB) after the label; it is printed, not compared, so ``cut -c1-64`` of two
 outputs still compares the digests alone.
 
-After the eight training lines come eight ``<sha256>  eval: <label>``
+After the nine training lines come nine ``<sha256>  eval: <label>``
 lines, one per run in the same order. Each covers the traces and the
 captured attention maps of 10 greedy hard-mode episodes: episode i plays
 training instruction i with environment seed i. A change meant to keep
@@ -55,7 +57,14 @@ def runs(vocab):
          a3c.TrainerConfig(max_frames=400, workers=workers, mode="async"),
          a3c.EnvSettings(difficulty=difficulty))
         for workers in (2, 3) for difficulty in ("easy", "hard"))
-    return tuple(run + (easy,) for run in single) + lockstep
+    paper_lockstep = (
+        "paper_config, 2 workers lockstep, 60 frames, lr 1e-5",
+        nets.paper_config(vocab),
+        a3c.TrainerConfig(max_frames=60, learning_rate=1e-5, workers=2,
+                          mode="async"),
+        easy)
+    return tuple(run + (easy,) for run in single) + lockstep + (
+        paper_lockstep,)
 
 
 def digest(params: nets.Params) -> str:
