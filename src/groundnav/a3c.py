@@ -64,9 +64,8 @@ class TrainerConfig:
     grad_clip_norm: float = 40.0
     learning_rate: float = 1e-3
     workers: int = 1  # environments stepped in lockstep as one batch
-    # sync | async; only checks that sync has one worker (every run steps its
-    # workers as one batch on the calling thread), kept because bench/run.py
-    # pins it
+    # sync | async; decides nothing (every run steps its workers as one batch
+    # on the calling thread), kept only because bench/run.py passes it
     mode: str = "sync"
     rmsprop_alpha: float = 0.99
     rmsprop_eps: float = 1e-8
@@ -101,8 +100,6 @@ class TrainerConfig:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("sync", "async"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sync" and self.workers != 1:
-            raise ValueError("sync mode is single-worker by definition")
 
 
 @dataclass

@@ -31,7 +31,8 @@ from .nets import ModelConfig, Params
 
 # Fields of the component configs that the config file does not set: the
 # vocabulary comes from the corpus, and the others keep their defaults.
-_NOT_EXPOSED = ("vocab", "action_count", "rmsprop_alpha", "rmsprop_eps")
+_NOT_EXPOSED = ("vocab", "action_count", "mode", "rmsprop_alpha",
+                "rmsprop_eps")
 
 # eval mode -> the corpus split it scores; the first mode is the default
 EVAL_SPLITS = {"multitask": "train", "zeroshot": "test"}

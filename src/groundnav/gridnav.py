@@ -64,7 +64,6 @@ _COLOR_RGB = {
     "yellow": (1.0, 1.0, 0.0),
 }
 _BACKGROUND = 0.5
-_DIM = 0.0  # off-pattern pixels are black for maximum pattern contrast
 _SIZE_MULT = {"tall": 2.0, "short": 1.0}
 
 
@@ -473,10 +472,8 @@ def render(state: WorldState) -> Observation:
         l0, r0 = max(0, left), min(w_px, right)
         mask = _pattern_mask(obj.shape, bot - top, right - left)
         mask = mask[t0 - top:b0 - top, l0 - left:r0 - left]
-        rgb = _COLOR_RGB[obj.color]
-        for ch in range(3):
-            plane = img[ch, t0:b0, l0:r0]
-            plane[...] = np.where(mask, rgb[ch], rgb[ch] * _DIM)
+        # off-pattern pixels are black for maximum pattern contrast
+        img[:, t0:b0, l0:r0] = np.multiply.outer(_COLOR_RGB[obj.color], mask)
     return Observation(image=Tensor(img))
 
 

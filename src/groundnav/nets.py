@@ -307,18 +307,18 @@ def encode_instruction(g: Graph, params: Params, config: ModelConfig,
 
 
 def attention_step(g: Graph, params: Params, config: ModelConfig,
-                   h: Tensor, c: Tensor, x_t: Tensor) -> Tensor:
+                   h: Tensor, c: Tensor, state: Tensor, x_l: Tensor) -> Tensor:
     """One LSTM update from h_{t-1} and C_{t-1} (B, d); its output, the
     next state (B, 2, d), holds h_t and C_t, the next attention vector.
 
-    Two tape nodes: the gate input [h_{t-1}, x_t] and one ``lstm_cell``.
-    The input, candidate and output gates read all of the gate input
-    through the stacked ``lstm_w`` (3d, n), rows in i, c, o order. The
-    forget gate reads the first ``lstm_wf.shape[1]`` entries of it through
-    its own weight, which is h_{t-1} alone or all of it as
-    ``config.forget_gate_sees_input`` sized that weight.
+    Two tape nodes: one ``concat`` of the gate input [h_{t-1}, s_t, x_l]
+    (s_t is the fused ``state``) and one ``lstm_cell``. The input,
+    candidate and output gates read all of it through the stacked
+    ``lstm_w`` (3d, n), rows in i, c, o order. The forget gate reads its
+    first ``lstm_wf.shape[1]`` entries through its own weight: h_{t-1}
+    alone or all of it, as ``config.forget_gate_sees_input`` sized it.
     """
-    return g.lstm_cell(g.concat([h, x_t]), c, params["lstm_wf"],
+    return g.lstm_cell(g.concat([h, state, x_l]), c, params["lstm_wf"],
                        params["lstm_bf"], params["lstm_w"], params["lstm_b"])
 
 
@@ -334,10 +334,11 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
     """(attention, attended maps, fused state, next recurrent state).
 
     Recurrent sources unpack the previous state (B, 2, d) into h and C with
-    one ``row`` each, apply the previous step's vector, then advance the
-    LSTM on the fused state and the instruction; the other sources compute
-    the vector from scratch and pass ``prev`` through. ``concat`` fusion has
-    no attention, so its vector and maps are None.
+    one ``row`` each, apply the previous step's vector, then pass h, C, the
+    fused state s_t and x_l to ``attention_step``, whose two nodes join the
+    gate input [h_{t-1}, s_t, x_l] and advance the LSTM; the other sources
+    compute the vector from scratch and pass ``prev`` through. ``concat``
+    fusion has no attention, so its vector and maps are None.
     """
     if config.fusion == "concat":
         inp = g.concat([_flatten_maps(g, features), x_l])
@@ -365,7 +366,7 @@ def fuse(g: Graph, params: Params, config: ModelConfig, x_l: Tensor,
         state = g.matvec(params["had_w"], flat, params["had_b"])
 
     if recurrent:
-        prev = attention_step(g, params, config, h, c, g.concat([state, x_l]))
+        prev = attention_step(g, params, config, h, c, state, x_l)
     return att, maps, state, prev
 
 

@@ -303,6 +303,12 @@ class TestEntropyProperty:
             assert h_uniform >= h - 1e-12
 
 
+# one worker and a lockstep batch of two; the ids keep the names these
+# cases had while a ``mode`` setting told the two apart
+ONE_AND_TWO_WORKERS = pytest.mark.parametrize("workers", [1, 2],
+                                              ids=["sync-1", "async-2"])
+
+
 @pytest.fixture(scope="module")
 def tiny_model():
     corpus = gridnav.build_corpus(7)
@@ -338,7 +344,7 @@ class TestTrainLoop:
 
     def test_async_smoke(self, tiny_model):
         _, mconf = tiny_model
-        tconf = TrainerConfig(max_frames=1200, mode="async", workers=2,
+        tconf = TrainerConfig(max_frames=1200, workers=2,
                               log_every_episodes=20)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         result = train(tconf, mconf, env, seed=5)
@@ -350,21 +356,22 @@ class TestTrainLoop:
                 assert math.isfinite(row[key])
 
     def test_async_single_worker_matches_sync(self, tiny_model):
-        # the worker that reaches the frame budget stops the run itself, so
-        # one async worker trains exactly what the sync loop trains
+        # mode decides nothing: a seeded run of one worker or of a lockstep
+        # batch of two trains the same bytes under either value
         _, mconf = tiny_model
         env = EnvSettings(difficulty="easy", corpus_seed=7)
-        for seed in range(10):
-            sync = train(TrainerConfig(max_frames=400, log_every_episodes=5),
-                         mconf, env, seed)
-            one = train(TrainerConfig(max_frames=400, log_every_episodes=5,
-                                      mode="async", workers=1),
-                        mconf, env, seed)
-            assert one.frames == sync.frames == 400, seed
-            assert one.rows == sync.rows, seed
-            for name in sync.params.names():
-                assert one.params[name].data.tobytes() == \
-                    sync.params[name].data.tobytes(), (seed, name)
+        for workers, seeds in ((1, range(10)), (2, range(3))):
+            for seed in seeds:
+                sync, other = (
+                    train(TrainerConfig(max_frames=400, log_every_episodes=5,
+                                        mode=mode, workers=workers),
+                          mconf, env, seed)
+                    for mode in ("sync", "async"))
+                assert other.frames == sync.frames == 400, (workers, seed)
+                assert other.rows == sync.rows, (workers, seed)
+                for name in sync.params.names():
+                    assert other.params[name].data.tobytes() == \
+                        sync.params[name].data.tobytes(), (workers, seed, name)
 
     def test_paper_rollout_memory(self, tiny_model, traced_peak):
         # one 20-frame rollout at paper scale: the tape keeps no im2col
@@ -406,15 +413,15 @@ class TestTrainLoop:
         _, mconf = tiny_model
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         for seed in range(10):
-            result = train(TrainerConfig(max_frames=400, mode="async",
-                                         workers=2), mconf, env, seed)
+            result = train(TrainerConfig(max_frames=400, workers=2), mconf,
+                           env, seed)
             assert result.frames == 400, seed
 
     def test_multi_worker_run_reproducible(self, tiny_model):
         # the workers take turns in a fixed order, so a seeded run repeats
         # bit for bit
         _, mconf = tiny_model
-        tconf = TrainerConfig(max_frames=600, mode="async", workers=2,
+        tconf = TrainerConfig(max_frames=600, workers=2,
                               log_every_episodes=5)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         r1, r2 = (train(tconf, mconf, env, seed=4) for _ in range(2))
@@ -423,8 +430,8 @@ class TestTrainLoop:
             assert r1.params[name].data.tobytes() == \
                 r2.params[name].data.tobytes(), name
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
-    def test_runs_on_the_calling_thread(self, tiny_model, mode, workers):
+    @ONE_AND_TWO_WORKERS
+    def test_runs_on_the_calling_thread(self, tiny_model, workers):
         # train() starts no thread, and the checkpoint callback runs on the
         # thread that called train()
         _, mconf = tiny_model
@@ -434,7 +441,7 @@ class TestTrainLoop:
         def checkpoint(episodes, params):
             seen.append((threading.current_thread(), threading.enumerate()))
 
-        tconf = TrainerConfig(max_frames=400, mode=mode, workers=workers,
+        tconf = TrainerConfig(max_frames=400, workers=workers,
                               checkpoint_every_episodes=2)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         train(tconf, mconf, env, seed=5, checkpoint_cb=checkpoint)
@@ -443,9 +450,8 @@ class TestTrainLoop:
             assert thread is threading.current_thread()
             assert alive == before
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
-    def test_worker_failure_raised(self, tiny_model, monkeypatch, mode,
-                                   workers):
+    @ONE_AND_TWO_WORKERS
+    def test_worker_failure_raised(self, tiny_model, monkeypatch, workers):
         # a worker fails mid-run; the run must stop and re-raise the worker's
         # own exception, not finish its budget on a surviving worker
         _, mconf = tiny_model
@@ -459,14 +465,14 @@ class TestTrainLoop:
             return advance(state, action)
 
         monkeypatch.setattr(gridnav, "advance", failing_advance)
-        tconf = TrainerConfig(max_frames=400, mode=mode, workers=workers)
+        tconf = TrainerConfig(max_frames=400, workers=workers)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         with pytest.raises(RuntimeError, match="advance failed"):
             train(tconf, mconf, env, seed=5)
         assert calls[0] < 400
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
-    def test_checkpoint_failure_stops_workers(self, tiny_model, mode, workers):
+    @ONE_AND_TWO_WORKERS
+    def test_checkpoint_failure_stops_workers(self, tiny_model, workers):
         # a checkpoint callback that raises ends train(); no worker may
         # outlive it and go on training the shared parameters
         _, mconf = tiny_model
@@ -475,16 +481,16 @@ class TestTrainLoop:
             raise OSError("checkpoint failed")
 
         before = set(threading.enumerate())
-        tconf = TrainerConfig(max_frames=10 ** 6, mode=mode, workers=workers,
+        tconf = TrainerConfig(max_frames=10 ** 6, workers=workers,
                               checkpoint_every_episodes=1)
         env = EnvSettings(difficulty="easy", corpus_seed=7)
         with pytest.raises(OSError, match="checkpoint failed"):
             train(tconf, mconf, env, seed=5, checkpoint_cb=failing_checkpoint)
         assert [t for t in threading.enumerate() if t not in before] == []
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
+    @ONE_AND_TWO_WORKERS
     def test_workers_play_on_the_returned_params(self, tiny_model, monkeypatch,
-                                                 mode, workers):
+                                                 workers):
         # every rollout, bootstrap and update runs on the one parameter set
         # that train() returns; no worker plays on a private copy
         _, mconf = tiny_model
@@ -498,17 +504,16 @@ class TestTrainLoop:
             return model_step(g, params, config, x_l, image, prev)
 
         monkeypatch.setattr(a3c, "model_step", recording_step)
-        tconf = TrainerConfig(max_frames=200, mode=mode, workers=workers)
+        tconf = TrainerConfig(max_frames=200, workers=workers)
         result = train(tconf, mconf, EnvSettings("easy", 7), seed=5)
         assert len(seen) >= 200
         assert all(params is result.params for params in seen)
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
-    def test_checkpoint_gets_the_returned_params(self, tiny_model, mode,
-                                                 workers):
+    @ONE_AND_TWO_WORKERS
+    def test_checkpoint_gets_the_returned_params(self, tiny_model, workers):
         _, mconf = tiny_model
         seen = []
-        tconf = TrainerConfig(max_frames=400, mode=mode, workers=workers,
+        tconf = TrainerConfig(max_frames=400, workers=workers,
                               checkpoint_every_episodes=2)
         result = train(tconf, mconf, EnvSettings("easy", 7), seed=5,
                        checkpoint_cb=lambda episodes, params: seen.append(params))
@@ -546,7 +551,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(a3c, "worker_update", counted_update)
 
-        tconf = TrainerConfig(max_frames=410, mode="async", workers=2)
+        tconf = TrainerConfig(max_frames=410, workers=2)
         shared = init_params(mconf, 2)
         opt = SharedOptimizerState(shared)
         collector = Collector(tconf)
@@ -565,7 +570,6 @@ class TestTrainLoop:
         # the environments after it in worker order play no frame there
         _, mconf = tiny_model
         tconf = TrainerConfig(max_frames=0, max_episodes=max_episodes,
-                              mode="sync" if workers == 1 else "async",
                               workers=workers, log_every_episodes=1)
         result = train(tconf, mconf, EnvSettings("hard", 7), seed=6)
         assert result.episodes == max_episodes
@@ -577,8 +581,7 @@ class TestTrainLoop:
                                          max_frames):
         # a budget that is not a multiple of the batch ends inside a step
         _, mconf = tiny_model
-        tconf = TrainerConfig(max_frames=max_frames, mode="async",
-                              workers=workers)
+        tconf = TrainerConfig(max_frames=max_frames, workers=workers)
         result = train(tconf, mconf, EnvSettings("easy", 7), seed=6)
         assert result.frames == max_frames
 
@@ -593,9 +596,11 @@ class TestTrainLoop:
         assert result.rows[0]["entropy"] == pytest.approx(math.log(3),
                                                           abs=0.01)
 
-    def test_sync_multi_worker_rejected(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(mode="sync", workers=2)
+    def test_workers_alone_set_the_batch(self):
+        # the learning gate's batch needs no mode of its own
+        assert TrainerConfig(workers=16).workers == 16
+        with pytest.raises(ValueError, match="workers"):
+            TrainerConfig(workers=0)
 
     def test_early_stop_at_first_full_window_over_threshold(self, tiny_model):
         _, mconf = tiny_model

@@ -597,8 +597,7 @@ class TestKernelGradientHelper:
         corpus = gridnav.build_corpus(7)
         mconf = nets.ModelConfig(vocab=nets.build_vocab(corpus.train
                                                         + corpus.test))
-        tconf = a3c.TrainerConfig(max_frames=200, workers=workers,
-                                  mode="sync" if workers == 1 else "async")
+        tconf = a3c.TrainerConfig(max_frames=200, workers=workers)
         params = {}
         for min_macs in (autodiff.OFFLOAD_MIN_MACS, 0):
             monkeypatch.setattr(autodiff, "OFFLOAD_MIN_MACS", min_macs)

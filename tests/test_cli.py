@@ -72,11 +72,11 @@ class TestConfigParsing:
             "seeds", "corpus_seed", "d", "l", "embed_dim", "hidden",
             "render_h", "render_w", "conv_specs", "forget_gate_sees_input",
             "gamma", "n_steps", "entropy_coef", "value_coef",
-            "grad_clip_norm", "learning_rate", "workers", "mode",
+            "grad_clip_norm", "learning_rate", "workers",
             "max_frames", "max_episodes", "log_every_episodes",
             "checkpoint_every_episodes", "early_stop_accuracy", "eval_mode",
             "eval_episodes", "out_dir"])
-        for hidden in ("vocab", "action_count", "rmsprop_alpha",
+        for hidden in ("vocab", "action_count", "mode", "rmsprop_alpha",
                        "rmsprop_eps"):
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config_text(f"{hidden} = 1\n")
@@ -84,16 +84,17 @@ class TestConfigParsing:
     def test_cross_field_rejected_at_parse(self):
         with pytest.raises(ValueError, match="d channels"):
             parse_config_text("d = 8\n")
-        with pytest.raises(ValueError, match="single-worker"):
-            parse_config_text("workers = 2\n")
+
+    def test_workers_alone_set_the_batch(self):
+        assert parse_config_text("workers = 2\n").trainer.workers == 2
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text("mode = async\n")
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("difficulty = impossible\n")
         with pytest.raises(ValueError):
             parse_config_text("attention_source = fourier\n")
-        with pytest.raises(ValueError):
-            parse_config_text("mode = warp\n")
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# hello\n\nd = 16\n"
@@ -242,10 +243,11 @@ class TestTrain:
             assert (loaded[name].data == fresh[name].data).all()
         assert artifacts["checkpoints"] == [str(tmp_path / "seed1" / "checkpoint.bin")]
 
-    @pytest.mark.parametrize("mode, workers", [("sync", 1), ("async", 2)])
-    def test_run_reproducible(self, tmp_path, mode, workers):
-        config = parse_config_text(
-            TINY_CONFIG + f"mode = {mode}\nworkers = {workers}\n")
+    # the ids keep the names these cases had while a ``mode`` key told
+    # one worker and a lockstep batch apart
+    @pytest.mark.parametrize("workers", [1, 2], ids=["sync-1", "async-2"])
+    def test_run_reproducible(self, tmp_path, workers):
+        config = parse_config_text(TINY_CONFIG + f"workers = {workers}\n")
         cmd_train(config, tmp_path / "a")
         cmd_train(config, tmp_path / "b")
         for rel in ("seed1/train_log.csv", "resolved.cfg", "corpus.txt"):
@@ -253,6 +255,19 @@ class TestTrain:
                 (tmp_path / "b" / rel).read_bytes(), rel
         assert (tmp_path / "a" / "seed1" / "checkpoint.bin").read_bytes() == \
             (tmp_path / "b" / "seed1" / "checkpoint.bin").read_bytes()
+
+    def test_lockstep_batch_trains(self, tmp_path, capsys):
+        config = parse_config_text(TINY_CONFIG + "workers = 2\n")
+        cmd_train(config, tmp_path)
+        assert "600 frames" in capsys.readouterr().out
+        log = (tmp_path / "seed1" / "train_log.csv").read_text().splitlines()
+        assert log[0].startswith("episodes,frames,")
+        assert len(log) > 1
+        mconf = config.model_config(gridnav.build_corpus(7))
+        trained = nets.load_params(tmp_path / "seed1" / "checkpoint.bin", mconf)
+        fresh = nets.init_params(mconf, 1)
+        assert any((trained[n].data != fresh[n].data).any()
+                   for n in fresh.names())
 
     def test_multi_seed_writes_mean_curve(self, tmp_path):
         config = parse_config_text(TINY_CONFIG + "seeds = 1,2,3\n")

@@ -358,6 +358,13 @@ class TestEncodeInstruction:
         assert (once.data != twice.data).any()
 
 
+def split_after_h(config, x):
+    """The fused state and the instruction encoding that a gate input x,
+    drawn whole without its h, carries."""
+    n = config.state_len
+    return Tensor(x.data[:, :n]), Tensor(x.data[:, n:])
+
+
 class TestAttentionStep:
     def _params(self, config, seed=0):
         return init_params(config, seed)
@@ -369,7 +376,8 @@ class TestAttentionStep:
         rng = np.random.default_rng(1)
         h, c = (Tensor(rng.uniform(-1, 1, (1, 8))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
-        out = attention_step(Graph(), params, small_config, h, c, x)
+        out = attention_step(Graph(), params, small_config, h, c,
+                             *split_after_h(small_config, x))
         np.testing.assert_array_equal(out.data[:, 1], c.data)
 
     def test_pure_write(self, small_config):
@@ -380,7 +388,8 @@ class TestAttentionStep:
         h, c = (Tensor(rng.uniform(-1, 1, (1, 8))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, small_config.lstm_input_len)))
         g = Graph()
-        out = attention_step(g, params, small_config, h, c, x)
+        out = attention_step(g, params, small_config, h, c,
+                             *split_after_h(small_config, x))
         hx = np.concatenate([h.data[0], x.data[0]])
         cbar = np.tanh(params["lstm_w"].data[8:16] @ hx
                        + params["lstm_b"].data[8:16])
@@ -394,7 +403,8 @@ class TestAttentionStep:
         params = init_params(config, 5)
         h, c = (Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
-        out = attention_step(Graph(), params, config, h, c, x)
+        out = attention_step(Graph(), params, config, h, c,
+                             *split_after_h(config, x))
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
@@ -413,7 +423,8 @@ class TestAttentionStep:
         rng = np.random.default_rng(6)
         h, c = (Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(2))
         x = Tensor(rng.uniform(-1, 1, (1, config.lstm_input_len)))
-        out = attention_step(Graph(), params, config, h, c, x)
+        out = attention_step(Graph(), params, config, h, c,
+                             *split_after_h(config, x))
         weights = tuple(params[n].data.tolist() for n in (
             "lstm_wf", "lstm_bf", "lstm_w", "lstm_b"))
         h_exp, c_exp = lstm_scalar_oracle(
@@ -428,7 +439,41 @@ class TestAttentionStep:
         with pytest.raises(ValueError):
             attention_step(Graph(), params, small_config,
                            Tensor(prev.data[:, 0]), Tensor(prev.data[:, 1]),
-                           Tensor(np.zeros((1, 3))))
+                           *split_after_h(small_config,
+                                          Tensor(np.zeros((1, 3)))))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("sees_input", [True, False])
+    def test_matches_nested_gate_input(self, vocab, batch, sees_input):
+        # one concat of [h, s_t, x_l] equals the nested [h, [s_t, x_l]] to
+        # the byte, forward and backward, with s_t also read past the step
+        # as the policy reads it
+        config = ModelConfig(vocab=vocab, forget_gate_sees_input=sees_input)
+        rng = np.random.default_rng(batch)
+        draws = [rng.uniform(-1, 1, (batch, n)) for n in
+                 (config.d, config.d, config.state_len, config.l)]
+        out_w = rng.uniform(-1, 1, (batch, 2, config.d))
+        state_w = rng.uniform(-1, 1, (batch, config.state_len))
+        names = ("lstm_wf", "lstm_bf", "lstm_w", "lstm_b")
+
+        def run(step):
+            params = init_params(config, 23)
+            h, c, state, x_l = (Tensor(a.copy(), requires_grad=True)
+                                for a in draws)
+            g = Graph()
+            out = step(g, params, h, c, state, x_l)
+            g.backward(g.add(g.sum_all(g.mul(out, Tensor(out_w))),
+                             g.sum_all(g.mul(state, Tensor(state_w)))))
+            grads = [t.grad for t in (h, c, state, x_l)]
+            grads += [params[n].grad for n in names]
+            return out.data.tobytes(), [grad.tobytes() for grad in grads]
+
+        def nested(g, params, h, c, state, x_l):
+            return g.lstm_cell(g.concat([h, g.concat([state, x_l])]), c,
+                               *(params[n] for n in names))
+
+        assert run(lambda g, p, *rest: attention_step(g, p, config, *rest)) \
+            == run(nested)
 
 
 class TestApplyAttention:
@@ -881,7 +926,7 @@ class TestAttentionStateLayout:
             assert len(cells) == 1
             assert out.next_attention_state is cells[0].output
             assert out.next_attention_state.shape == (2, 2, config.d)
-            assert len(g.nodes) == 22
+            assert len(g.nodes) == 21
             prev = out.next_attention_state
 
 
@@ -899,15 +944,16 @@ class TestTapeBudget:
         g = Graph()
         model_step(g, params, config, Tensor(np.zeros((1, config.l))),
                    one(obs.image), initial_attention_state(config))
-        assert len(g.nodes) == 22
+        assert len(g.nodes) == 21
 
     def test_attention_step_nodes(self, vocab):
         config = ModelConfig(vocab=vocab)
         params = init_params(config, 18)
         g = Graph()
         h, c = Tensor(np.zeros((1, config.d))), Tensor(np.ones((1, config.d)))
+        x = Tensor(np.zeros((1, config.lstm_input_len)))
         attention_step(g, params, config, h, c,
-                       Tensor(np.zeros((1, config.lstm_input_len))))
+                       *split_after_h(config, x))
         assert [node.op for node in g.nodes] == ["concat", "lstm_cell"]
 
     def test_encode_instruction_nodes(self, vocab):

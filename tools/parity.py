@@ -54,14 +54,13 @@ def runs(vocab):
     lockstep = tuple(
         (f"{workers} workers lockstep, {difficulty}, 400 frames",
          nets.ModelConfig(vocab=vocab),
-         a3c.TrainerConfig(max_frames=400, workers=workers, mode="async"),
+         a3c.TrainerConfig(max_frames=400, workers=workers),
          a3c.EnvSettings(difficulty=difficulty))
         for workers in (2, 3) for difficulty in ("easy", "hard"))
     paper_lockstep = (
         "paper_config, 2 workers lockstep, 60 frames, lr 1e-5",
         nets.paper_config(vocab),
-        a3c.TrainerConfig(max_frames=60, learning_rate=1e-5, workers=2,
-                          mode="async"),
+        a3c.TrainerConfig(max_frames=60, learning_rate=1e-5, workers=2),
         easy)
     return tuple(run + (easy,) for run in single) + lockstep + (
         paper_lockstep,)
