@@ -26,7 +26,8 @@ per environment (see ``nets``): the forward's probabilities and values, each
 ``RolloutStep``'s log-probabilities, values, rewards and done flags, and the
 returns. The rows share the parameters. One worker is a batch of one, and
 ``play_episode`` plays one episode as a batch of one, each frame on a tape of
-its own; the bootstrap forward, read only as data, also gets its own tape.
+its own, from an instruction encoding memoized on the parameters; the
+bootstrap forward, read only as data, also gets its own tape.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from . import gridnav
 from .autodiff import Graph, Tensor
 from .gridnav import ACTIONS, MAX_STEPS
 from .nets import (
+    ENCODER_TENSORS,
     ModelConfig,
     Params,
     encode_instruction,
@@ -482,19 +484,54 @@ class EpisodeResult:
     attended: list[Optional[np.ndarray]] = field(default_factory=list)
 
 
+class _Encodings:
+    """Read-only instruction encodings (1, l) by token sequence, valid while
+    the encoder's tensors and the model config equal the copies taken when
+    this memo was made."""
+
+    def __init__(self, params: Params, mconf: ModelConfig):
+        self.mconf = mconf
+        self.tensors = [params[n].data.copy() for n in ENCODER_TENSORS]
+        self.rows: dict[tuple[str, ...], np.ndarray] = {}
+
+    def matches(self, params: Params, mconf: ModelConfig) -> bool:
+        return mconf == self.mconf and all(
+            np.array_equal(params[n].data, t)
+            for n, t in zip(ENCODER_TENSORS, self.tensors))
+
+
+def _encoding(params: Params, mconf: ModelConfig, tokens) -> np.ndarray:
+    """The encoding of ``tokens`` under ``params``, from the memo that
+    ``params`` holds; a miss encodes on a tape of its own. Any change to
+    the encoder's tensors or to the config clears the memo."""
+    memo = params.encodings
+    if memo is None or not memo.matches(params, mconf):
+        memo = params.encodings = _Encodings(params, mconf)
+    x_l = memo.rows.get(tokens)
+    if x_l is None:
+        x_l = encode_instruction(Graph(), params, mconf, [tokens]).data
+        x_l.flags.writeable = False
+        memo.rows[tokens] = x_l
+    return x_l
+
+
 def play_episode(params: Params, mconf: ModelConfig, instruction,
                  env_seed: int, difficulty: str, greedy: bool = True,
                  rng: Optional[np.random.Generator] = None,
                  capture: bool = False) -> EpisodeResult:
     """Roll one episode as a batch of one; greedy mode takes the argmax
     action (ties to the lowest index). ``attended`` holds each frame's
-    (c, h, w) maps. Each frame runs on a tape of its own."""
+    (c, h, w) maps. Each frame runs on a tape of its own.
+
+    The instruction's encoding is memoized on ``params``: an episode reuses
+    it while the encoder's tensors (``nets.ENCODER_TENSORS``) and ``mconf``
+    keep the values they had when it was encoded, and encodes it again
+    after any change to them."""
     if not greedy and rng is None:
         raise ValueError("sampled playout needs an rng")
     state, obs = gridnav.reset(env_seed, difficulty, instruction,
                                render_hw=(mconf.render_h, mconf.render_w))
-    x_l = Tensor(encode_instruction(Graph(), params, mconf,
-                                    [instruction.tokens]).data)
+    x_l = Tensor(_encoding(params, mconf, instruction.tokens))
     att = initial_attention_state(mconf)
     result = EpisodeResult(reward=0.0, success=False, steps=0, trace=[])
     for t in range(MAX_STEPS):

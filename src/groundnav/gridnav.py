@@ -291,10 +291,25 @@ def _sample_specs(rng, predicate: Predicate) -> list[tuple[str, str, str]]:
     return specs
 
 
-def _frustum_cells(agent_pos, heading, min_forward=2):
-    rows, cols = GRID_SIZE
-    return [(i, j) for i in range(rows) for j in range(cols)
-            if _view(agent_pos, heading, (i, j), min_forward) is not None]
+# Every grid cell, row-major; the spawn tables below hold these very tuples,
+# so a table costs one reference per entry.
+_CELLS = tuple((i, j) for i in range(GRID_SIZE[0]) for j in range(GRID_SIZE[1]))
+
+
+@lru_cache(maxsize=None)  # medium asks for one pose
+def _frustum_cells(agent_pos, heading, min_forward=2) -> tuple:
+    """The cells at least ``min_forward`` ahead in the view, row-major."""
+    return tuple(cell for cell in _CELLS
+                 if _view(agent_pos, heading, cell, min_forward) is not None)
+
+
+@lru_cache(maxsize=None)  # at most one entry per grid cell
+def _hard_cells(agent_pos) -> tuple:
+    """The cells at Chebyshev distance 2 or more from ``agent_pos``,
+    row-major: hard mode's spawn candidates."""
+    r, c = agent_pos
+    return tuple(cell for cell in _CELLS
+                 if max(abs(cell[0] - r), abs(cell[1] - c)) >= 2)
 
 
 def _pick_cells(rng, candidates, count, min_separation=2):
@@ -327,18 +342,12 @@ def reset(seed: int, difficulty: str, instruction: Instruction,
         cells = [slots[k] for k in order]
     elif difficulty == "medium":
         agent_pos, heading = EASY_AGENT_POS, EASY_AGENT_HEADING
-        candidates = _frustum_cells(agent_pos, heading)
-        cells = _pick_cells(rng, candidates, 5)
+        cells = _pick_cells(rng, _frustum_cells(agent_pos, heading), 5)
     else:
         agent_pos = (int(rng.integers(GRID_SIZE[0])),
                      int(rng.integers(GRID_SIZE[1])))
         heading = HEADINGS[rng.integers(4)]
-        candidates = [
-            (i, j)
-            for i in range(GRID_SIZE[0]) for j in range(GRID_SIZE[1])
-            if max(abs(i - agent_pos[0]), abs(j - agent_pos[1])) >= 2
-        ]
-        cells = _pick_cells(rng, candidates, 5)
+        cells = _pick_cells(rng, _hard_cells(agent_pos), 5)
 
     objects = tuple(
         ObjectSpec(size=s, color=c, shape=sh, position=cell)

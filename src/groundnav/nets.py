@@ -130,8 +130,9 @@ def initial_attention_state(config: ModelConfig, batch: int = 1) -> Tensor:
     # lstm_cellstate. All ones is a pass-through under Hadamard and a uniform
     # channel weighting under 1D convolution, so C_0 is ones, and h_0 is ones
     # under lstm_output (zero would blank that frame) and zero otherwise.
-    h0 = float(config.attention_source == "lstm_output")
-    return Tensor(np.tile([[h0], [1.0]], (batch, 1, config.d)))
+    state = np.ones((batch, 2, config.d))
+    state[:, 0] = float(config.attention_source == "lstm_output")
+    return Tensor(state)
 
 
 # --------------------------------------------------------------------------
@@ -139,7 +140,12 @@ def initial_attention_state(config: ModelConfig, batch: int = 1) -> Tensor:
 # --------------------------------------------------------------------------
 
 class Params(dict[str, Tensor]):
-    """Named tensors in a fixed declaration order (the checkpoint order)."""
+    """Named tensors in a fixed declaration order (the checkpoint order).
+
+    ``encodings`` is ``a3c.play_episode``'s memo of the instruction
+    encodings computed from these tensors; it lives and dies with them."""
+
+    encodings = None
 
     def names(self) -> list[str]:
         return list(self)
@@ -262,6 +268,12 @@ def encode_image(g: Graph, params: Params, config: ModelConfig,
         x = g.bias_add_channels(x, params[f"conv{i}_b"])
         x = g.relu(x)
     return x
+
+
+# the tensors encode_instruction reads, and all that its output depends on
+# besides the config and the tokens
+ENCODER_TENSORS = ("embed", "gru_wz", "gru_bz", "gru_wr", "gru_br",
+                   "gru_wh", "gru_bh")
 
 
 def token_ids(config: ModelConfig, tokens: Sequence[str]) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -839,6 +840,135 @@ class TestPlayEpisode:
             play_episode(params, mconf, corpus.train[0], 1, "easy",
                          greedy=False)
         assert resets == []
+
+
+def _copy(params: Params) -> Params:
+    return Params({n: Tensor(t.data.copy(), requires_grad=True)
+                   for n, t in params.items()})
+
+
+@pytest.fixture
+def encodings_seen(monkeypatch):
+    """The instruction encoding (an array) that each model_step of the test
+    got, in call order."""
+    seen = []
+    model_step = a3c.model_step
+
+    def spy(g, params, config, x_l, image, prev):
+        seen.append(x_l.data)
+        return model_step(g, params, config, x_l, image, prev)
+
+    monkeypatch.setattr(a3c, "model_step", spy)
+    return seen
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """The token sequences of each a3c.encode_instruction call of the test."""
+    calls = []
+    encode = a3c.encode_instruction
+
+    def counting(g, params, config, tokens):
+        calls.append([tuple(t) for t in tokens])
+        return encode(g, params, config, tokens)
+
+    monkeypatch.setattr(a3c, "encode_instruction", counting)
+    return calls
+
+
+def _fresh_encoding(params, mconf, instruction):
+    return nets.encode_instruction(Graph(), params, mconf,
+                                   [instruction.tokens]).data
+
+
+class TestEncodingMemo:
+    """play_episode reuses an instruction's encoding only while the encoder's
+    tensors and the model config are those it was computed under."""
+
+    def _same_episode(self, a, b):
+        assert a.trace == b.trace
+        assert len(a.attended) == len(b.attended)
+        for x, y in zip(a.attended, b.attended):
+            assert x.tobytes() == y.tobytes()
+
+    def test_reused_encoding_plays_like_a_fresh_copy(self, tiny_model):
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 5)
+        ins = corpus.train[2]
+        play_episode(params, mconf, ins, 1, "hard", capture=True)
+        again = play_episode(params, mconf, ins, 9, "hard", capture=True)
+        fresh = play_episode(_copy(params), mconf, ins, 9, "hard",
+                             capture=True)
+        self._same_episode(again, fresh)
+
+    @pytest.mark.parametrize("name", nets.ENCODER_TENSORS)
+    def test_edited_encoder_tensor_encodes_again(self, tiny_model, name,
+                                                 encodings_seen):
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 6)
+        ins = corpus.train[0]
+        play_episode(params, mconf, ins, 3, "hard")
+        before = encodings_seen[0].copy()
+        entry = ((nets.token_ids(mconf, ins.tokens)[-1], 0) if name == "embed"
+                 else (0,) * params[name].data.ndim)
+        params[name].data[entry] += 0.25
+        encodings_seen.clear()
+        edited = play_episode(params, mconf, ins, 3, "hard", capture=True)
+        want = _fresh_encoding(params, mconf, ins)
+        assert want.tobytes() != before.tobytes()
+        assert all(x.tobytes() == want.tobytes() for x in encodings_seen)
+        self._same_episode(edited, play_episode(_copy(params), mconf, ins, 3,
+                                                "hard", capture=True))
+
+    def test_other_config_gets_its_own_encoding(self, tiny_model,
+                                                encodings_seen):
+        # the same tensor shapes under a vocab in another order: every token
+        # maps to another embedding row
+        corpus, mconf = tiny_model
+        other = dataclasses.replace(
+            mconf, vocab=mconf.vocab[:1] + mconf.vocab[:0:-1])
+        params = nets.init_params(mconf, 7)
+        ins = corpus.train[4]
+        for config in (mconf, other, mconf):
+            encodings_seen.clear()
+            play_episode(params, config, ins, 2, "hard")
+            want = _fresh_encoding(params, config, ins)
+            assert all(x.tobytes() == want.tobytes() for x in encodings_seen)
+        assert _fresh_encoding(params, other, ins).tobytes() != \
+            _fresh_encoding(params, mconf, ins).tobytes()
+
+    def test_parameter_sets_never_share(self, tiny_model, encodings_seen,
+                                        encodes):
+        # each set keeps its own memo: alternating between two sets encodes
+        # the instruction once for each
+        corpus, mconf = tiny_model
+        ins = corpus.train[1]
+        sets = [nets.init_params(mconf, seed) for seed in (8, 9)]
+        for params in sets + sets:
+            encodings_seen.clear()
+            play_episode(params, mconf, ins, 4, "hard")
+            want = _fresh_encoding(params, mconf, ins)
+            assert all(x.tobytes() == want.tobytes() for x in encodings_seen)
+        assert len(encodes) == 2
+
+    def test_one_encode_per_distinct_instruction(self, tiny_model, encodes):
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 10)
+        split = corpus.train[:3]
+        for episode in range(12):
+            play_episode(params, mconf, split[episode % 3], episode, "hard")
+        assert sorted(encodes) == sorted([ins.tokens] for ins in split)
+
+    def test_memo_arrays_are_read_only(self, tiny_model, encodings_seen):
+        corpus, mconf = tiny_model
+        params = nets.init_params(mconf, 11)
+        for _ in range(2):
+            play_episode(params, mconf, corpus.train[0], 5, "hard")
+        assert encodings_seen
+        for x_l in encodings_seen:
+            assert not x_l.flags.writeable
+            with pytest.raises(ValueError):
+                x_l[0, 0] = 1.0
 
 
 class TestCollector:

@@ -198,6 +198,56 @@ class TestReset:
         assert state.done is False
 
 
+def _hard_cells_old(agent_pos):
+    """Hard mode's spawn candidates as reset listed them on every call."""
+    return [(i, j) for i in range(gridnav.GRID_SIZE[0])
+            for j in range(gridnav.GRID_SIZE[1])
+            if max(abs(i - agent_pos[0]), abs(j - agent_pos[1])) >= 2]
+
+
+def _frustum_cells_old(agent_pos, heading, min_forward=2):
+    rows, cols = gridnav.GRID_SIZE
+    return [(i, j) for i in range(rows) for j in range(cols)
+            if gridnav._view(agent_pos, heading, (i, j), min_forward)
+            is not None]
+
+
+class TestSpawnTables:
+    AGENT_CELLS = [(i, j) for i in range(gridnav.GRID_SIZE[0])
+                   for j in range(gridnav.GRID_SIZE[1])]
+
+    def test_hard_table_equals_the_old_list(self):
+        assert len(self.AGENT_CELLS) == 192
+        for pos in self.AGENT_CELLS:
+            assert list(gridnav._hard_cells(pos)) == _hard_cells_old(pos)
+
+    def test_frustum_equals_the_old_list(self):
+        for heading in gridnav.HEADINGS:
+            assert list(gridnav._frustum_cells(EASY_AGENT_POS, heading)) == \
+                _frustum_cells_old(EASY_AGENT_POS, heading)
+
+    def test_tables_share_one_tuple_per_cell(self):
+        tables = [gridnav._hard_cells(pos) for pos in self.AGENT_CELLS]
+        tables.append(gridnav._frustum_cells(EASY_AGENT_POS,
+                                             EASY_AGENT_HEADING))
+        first = {}
+        for table in tables:
+            for cell in table:
+                assert first.setdefault(cell, cell) is cell
+        assert len(first) == len(self.AGENT_CELLS)
+
+    @pytest.mark.parametrize("difficulty", ["medium", "hard"])
+    def test_seeded_reset_unchanged(self, corpus, difficulty, monkeypatch):
+        def states():
+            return [reset(seed, difficulty, corpus.train[seed % 55])[0]
+                    for seed in range(60)]
+
+        tabled = states()
+        monkeypatch.setattr(gridnav, "_hard_cells", _hard_cells_old)
+        monkeypatch.setattr(gridnav, "_frustum_cells", _frustum_cells_old)
+        assert tabled == states()
+
+
 class TestStep:
     def test_four_left_turns_identity(self, corpus):
         state, _ = reset(0, "easy", corpus.train[0])

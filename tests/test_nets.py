@@ -347,6 +347,17 @@ class TestEncodeInstruction:
         out = encode_instruction(Graph(), params, config, [tokens])
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
+    def test_reads_exactly_the_encoder_tensors(self, small_config):
+        # play_episode's memo is kept valid by comparing ENCODER_TENSORS, so
+        # a tensor the encoder reads outside that list would leave it stale
+        params = init_params(small_config, 2)
+        g = Graph()
+        out = encode_instruction(g, params, small_config,
+                                 [("go", "to", "the", "red", "pillar")])
+        g.backward(g.sum_all(out))
+        assert {n for n, t in params.items() if t.grad is not None} == \
+            set(nets.ENCODER_TENSORS)
+
     def test_repeated_token_changes_encoding(self, vocab):
         config = ModelConfig(vocab=vocab, d=8, l=2, embed_dim=2, hidden=4,
                              render_h=27, render_w=36,
@@ -903,6 +914,16 @@ class TestModelStep:
 
 
 class TestAttentionStateLayout:
+    @pytest.mark.parametrize("source", nets.ATTENTION_SOURCES)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_initial_state_matches_tiled_rows(self, vocab, source, batch):
+        config = ModelConfig(vocab=vocab, attention_source=source)
+        h0 = float(source == "lstm_output")
+        tiled = np.tile([[h0], [1.0]], (batch, 1, config.d))
+        state = initial_attention_state(config, batch).data
+        assert state.dtype == tiled.dtype and state.shape == tiled.shape
+        assert state.tobytes() == tiled.tobytes()
+
     @pytest.mark.parametrize("source", ["lstm_cellstate", "lstm_output"])
     def test_next_state_is_the_lstm_cell_output(self, vocab, corpus, source):
         # the carried state is the (B, 2, d) tensor lstm_cell emits, h over
